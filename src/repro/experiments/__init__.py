@@ -12,13 +12,13 @@ regenerates every table and figure of the paper's evaluation.
 
 from .systems import build_machine, canonical_system, trace_vlmax
 from .runner import ExperimentRunner, canonical_pairs
-from .parallel import (DEFAULT_CACHE_ROOT, ParallelRunner, WorkerPool,
-                       cache_stats, prune_cache, sweep_pairs)
-from .report import compare_entry, format_table, sweep_result_payload
+from .parallel import (DEFAULT_CACHE_ROOT, ParallelRunner, cache_stats,
+                       prune_cache, sweep_pairs)
+from .report import format_table, sweep_result_payload
 from . import figures
 
 __all__ = ["build_machine", "canonical_system", "trace_vlmax",
            "ExperimentRunner", "canonical_pairs", "ParallelRunner",
-           "WorkerPool", "cache_stats", "prune_cache", "DEFAULT_CACHE_ROOT",
-           "sweep_pairs", "compare_entry", "format_table",
+           "cache_stats", "prune_cache", "DEFAULT_CACHE_ROOT",
+           "sweep_pairs", "format_table",
            "sweep_result_payload", "figures"]

@@ -18,9 +18,13 @@ Two layers make repeat invocations cheap and workers independent:
   pickle instead of re-running the workload kernel;
 * a **result cache** keyed by ``(system, workload, params-fingerprint,
   config-fingerprint)`` — the config fingerprint digests every Table
-  III system config plus the toolkit version, so a code or parameter
+  III system config plus the toolkit version, so a config or parameter
   change invalidates the cache while a repeat invocation skips
   already-simulated cells entirely.
+
+Both keys fold in the params fingerprint, which carries a digest of the
+package's own source (:func:`source_fingerprint`): any edit to the model
+code misses every entry a previous version published.
 
 Both caches are advisory: deleting ``.eve-cache/`` (or passing
 ``cache_root=None``) simply re-simulates.  Writes go to a unique temp
@@ -38,12 +42,10 @@ import json
 import multiprocessing
 import os
 import pickle
-import threading
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..config import all_system_names
-from ..errors import ExperimentError
 from ..obs.events import NULL_TELEMETRY, TelemetryMonitor
 from ..obs.metrics import MetricsRegistry
 from ..obs.selfprof import SelfProfiler
@@ -54,14 +56,6 @@ from .systems import build_machine, canonical_system, trace_vlmax
 #: Default on-disk cache directory (sibling of ``.eve-runs/``).
 DEFAULT_CACHE_ROOT = ".eve-cache"
 
-#: Bump to invalidate every cached pickle when the cache layout changes.
-#: v2: traces carry ``vlmax``/``buffers`` metadata, the ``vid`` opcode,
-#: and free-list register allocation.
-#: v3: result-cell keys fold the trace-compiler configuration (pass list
-#: + compiler version), so compiled and ``--no-compile`` sweeps can never
-#: collide on one cache entry.
-CACHE_VERSION = 3
-
 #: ``fork`` keeps worker start-up cheap where the OS offers it; spawn is
 #: the portable fallback (all cell inputs are picklable primitives).
 START_METHOD = ("fork" if "fork" in multiprocessing.get_all_start_methods()
@@ -70,6 +64,38 @@ START_METHOD = ("fork" if "fork" in multiprocessing.get_all_start_methods()
 
 # -- cache keys ----------------------------------------------------------------
 
+#: The ``repro`` package directory whose ``.py`` files
+#: :func:`source_fingerprint` digests.
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+_SOURCE_FP: Optional[str] = None
+
+
+def source_fingerprint() -> str:
+    """SHA-256 over every ``.py`` file of the ``repro`` package (relative
+    path and content digest, in sorted order), computed once per process.
+
+    A cached trace or result is a function of the model code as well as
+    its inputs, so both cache keys fold this in: an edited timing model
+    is never served its own pre-change results.  A cache layout change
+    is a source change too.
+    """
+    global _SOURCE_FP
+    if _SOURCE_FP is None:
+        digest = hashlib.sha256()
+        for dirpath, dirnames, filenames in os.walk(_PACKAGE_ROOT):
+            dirnames.sort()
+            for name in sorted(filenames):
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, name)
+                digest.update(os.path.relpath(path, _PACKAGE_ROOT).encode())
+                with open(path, "rb") as handle:
+                    digest.update(hashlib.sha256(handle.read()).digest())
+        _SOURCE_FP = digest.hexdigest()
+    return _SOURCE_FP
+
+
 def params_fingerprint(workload_name: str,
                        params_override: Optional[Dict[str, dict]],
                        seed: int = DEFAULT_SEED,
@@ -77,7 +103,8 @@ def params_fingerprint(workload_name: str,
     """Digest of the workload's *resolved* parameters plus the input
     seed, so tiny and paper-scale runs of the same kernel — and runs of
     the same kernel with different ``--seed`` inputs — occupy distinct
-    cache cells.
+    cache cells.  The :func:`source_fingerprint` is folded in too, so
+    both the trace and the result key change with the model code.
 
     ``compiler`` is the :func:`repro.compiler.compiler_descriptor` of the
     execution path (``None`` for the reference interpreter): folding it in
@@ -88,6 +115,7 @@ def params_fingerprint(workload_name: str,
     resolved = workload.resolve(
         (params_override or {}).get(workload.name))
     resolved["__seed__"] = seed
+    resolved["__source__"] = source_fingerprint()
     if compiler is not None:
         resolved["__compiler__"] = compiler
     blob = json.dumps(resolved, sort_keys=True, default=str)
@@ -99,14 +127,14 @@ _CONFIG_FP: Optional[str] = None
 
 def sweep_config_fingerprint() -> str:
     """Digest of every Table III system config plus the toolkit version
-    and cache schema — the "did the code change" part of a cell key.
+    — the result-cache directory and the campaign event fingerprint.
     Computed once per process (configs are fixed at import time)."""
     global _CONFIG_FP
     if _CONFIG_FP is None:
         from .. import __version__
         from ..obs.runstore import config_fingerprint
         _CONFIG_FP = config_fingerprint(
-            {"toolkit": __version__, "cache_schema": CACHE_VERSION})
+            {"toolkit": __version__})
     return _CONFIG_FP
 
 
@@ -224,7 +252,7 @@ def _cache_entries(root: str) -> List[Tuple[float, int, str, str]]:
 
 def cache_stats(root: str = DEFAULT_CACHE_ROOT) -> Dict[str, object]:
     """Entry counts and byte totals of the cell cache, by kind, plus the
-    quarantined ``*.corrupt`` census the service status endpoint reports."""
+    census of quarantined ``*.corrupt`` files (``repro cache --stats``)."""
     stats: Dict[str, object] = {
         "root": root,
         "exists": os.path.isdir(root),
@@ -273,136 +301,6 @@ def prune_cache(root: str = DEFAULT_CACHE_ROOT,
         freed += size
     return {"root": root, "max_bytes": max_bytes, "removed": removed,
             "freed_bytes": freed, "remaining_bytes": total - freed}
-
-
-# -- pool lifecycle ------------------------------------------------------------
-
-class WorkerPool:
-    """An explicitly managed, reusable process pool for cell fan-outs.
-
-    A plain :func:`fan_out` spins a pool up and tears it down per call;
-    a long-lived caller (the job service, a REPL session running many
-    sweeps) constructs one ``WorkerPool`` and passes it to every
-    ``fan_out`` / :class:`ParallelRunner` instead, so consecutive jobs
-    reuse warm workers rather than paying fork start-up each time.
-
-    Lifecycle is explicit and leak-proof: context-manager exit closes
-    the pool (terminates it when exiting on an exception), and both
-    :meth:`close` and :meth:`terminate` ``join()`` the workers, so no
-    exit path — including KeyboardInterrupt/SIGTERM mid-sweep — leaves
-    zombie worker processes behind.  ``jobs <= 1`` is a valid degenerate
-    pool: no process is ever forked and work runs in the caller.
-    """
-
-    def __init__(self, jobs: Optional[int] = None) -> None:
-        self.jobs = max(1, jobs if jobs is not None
-                        else (os.cpu_count() or 1))
-        self._pool = None
-        self._closed = False
-        self._fork_lock = threading.Lock()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def started(self) -> bool:
-        """Whether worker processes currently exist."""
-        return self._pool is not None
-
-    def start(self) -> "WorkerPool":
-        """Fork the workers now (idempotent, no-op when serial).
-
-        Long-lived multithreaded callers — the job service, anything
-        pushing :meth:`apply` through executor threads — must call this
-        while the process is still quiet: forking lazily from a worker
-        thread while other threads run can clone held locks into the
-        children and deadlock them.
-        """
-        self.handle()
-        return self
-
-    def handle(self):
-        """The underlying multiprocessing pool, created lazily on first
-        use (``None`` when ``jobs <= 1`` — callers run in-process)."""
-        if self._closed:
-            raise ExperimentError("worker pool is closed")
-        if self.jobs <= 1:
-            return None
-        if self._pool is None:
-            with self._fork_lock:
-                if self._pool is None:
-                    ctx = multiprocessing.get_context(START_METHOD)
-                    self._pool = ctx.Pool(processes=self.jobs)
-        return self._pool
-
-    def apply(self, func: Callable, spec):
-        """Run one unit on the pool, blocking (in-process when serial).
-
-        The job service calls this from executor threads — one blocked
-        thread per in-flight cell — so the asyncio loop never blocks on
-        a simulation.
-        """
-        handle = self.handle()
-        if handle is None:
-            return func(spec)
-        return handle.apply(func, (spec,))
-
-    def close(self) -> None:
-        """Finish outstanding work, then reap the workers."""
-        self._closed = True
-        if self._pool is not None:
-            self._pool.close()
-            self._pool.join()
-            self._pool = None
-
-    def terminate(self) -> None:
-        """Stop immediately and reap the workers (no zombies)."""
-        self._closed = True
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, exc_type, _exc, _tb) -> bool:
-        if exc_type is None:
-            self.close()
-        else:
-            self.terminate()
-        return False
-
-
-@contextlib.contextmanager
-def _leased_pool(jobs: int, count: int, pool: Optional[WorkerPool]):
-    """The multiprocessing pool one fan-out should run on.
-
-    With a persistent ``pool`` the lease leaves it open for the next
-    caller, but an interrupt (KeyboardInterrupt / SystemExit — what the
-    service's SIGTERM handler raises in the main thread) tears it down
-    so no workers outlive the sweep.  Without one, a fresh pool is
-    created and always reaped on exit: closed and joined on success,
-    terminated and joined on any error.
-    """
-    if pool is not None:
-        try:
-            yield pool.handle()
-        except (KeyboardInterrupt, SystemExit):
-            pool.terminate()
-            raise
-        return
-    ctx = multiprocessing.get_context(START_METHOD)
-    fresh = ctx.Pool(processes=min(jobs, count))
-    try:
-        yield fresh
-        fresh.close()
-    except BaseException:
-        fresh.terminate()
-        raise
-    finally:
-        fresh.join()
 
 
 # -- the generic fan-out -------------------------------------------------------
@@ -454,15 +352,17 @@ def _drain_observed(results: List, monitor,
 
 def fan_out(func: Callable, specs: Sequence, jobs: int,
             profiler: Optional[SelfProfiler] = None,
-            phase: str = "fan_out", monitor=None,
-            pool: Optional[WorkerPool] = None) -> List:
+            phase: str = "fan_out", monitor=None) -> List:
     """Map a picklable ``func`` over ``specs`` with a process pool.
 
     The shared executor behind :meth:`ParallelRunner.prefetch` and the
     fault-injection campaign runner: results come back in *input* order
     (never completion order), ``jobs=1`` or a single spec runs in-process
     with no pool, and ``chunksize=1`` deals work finely because specs can
-    differ in cost by orders of magnitude.
+    differ in cost by orders of magnitude.  Each call starts a fresh pool
+    and always reaps it: closed and joined on success, terminated and
+    joined on any error (KeyboardInterrupt included), so no worker
+    outlives the fan-out.
 
     ``monitor`` (e.g. :class:`repro.obs.events.TelemetryMonitor`) opts a
     call into observed execution: every unit is wrapped by
@@ -473,30 +373,16 @@ def fan_out(func: Callable, specs: Sequence, jobs: int,
     the monitor has seen every unit's fate, preserving the unmonitored
     path's error semantics.  With ``monitor=None`` the pre-telemetry
     code path runs unchanged (``pool.map``) — the zero-cost guarantee.
-
-    ``pool`` (a :class:`WorkerPool`) makes the pool lifecycle explicit:
-    the fan-out runs on the caller's persistent workers (``jobs`` is
-    taken from the pool) and leaves them warm for the next call, while
-    an interrupt mid-sweep still tears them down via
-    :func:`_leased_pool`.  Without one, a fresh pool is created per call
-    and always joined on exit.
     """
     if not specs:
         return []
-    if pool is not None:
-        jobs = pool.jobs
     span = (profiler.phase(phase) if profiler is not None
             else contextlib.nullcontext())
-    if monitor is None:
-        if jobs <= 1 or len(specs) == 1:
-            with span:
-                return [func(spec) for spec in specs]
-        with span:
-            with _leased_pool(jobs, len(specs), pool) as mp_pool:
-                return mp_pool.map(func, specs, chunksize=1)
     wrapped = functools.partial(_observed_call, func)
     with span:
         if jobs <= 1 or len(specs) == 1:
+            if monitor is None:
+                return [func(spec) for spec in specs]
             observed = []
             for i, spec in enumerate(specs):
                 monitor.on_dispatch(i)
@@ -505,12 +391,25 @@ def fan_out(func: Callable, specs: Sequence, jobs: int,
                 monitor.on_complete(i, obs)
                 monitor.poll()
         else:
-            with _leased_pool(jobs, len(specs), pool) as mp_pool:
-                handles = []
-                for i, spec in enumerate(specs):
-                    handles.append(mp_pool.apply_async(wrapped, (spec,)))
-                    monitor.on_dispatch(i)
-                observed = _drain_observed(handles, monitor)
+            ctx = multiprocessing.get_context(START_METHOD)
+            pool = ctx.Pool(processes=min(jobs, len(specs)))
+            try:
+                if monitor is None:
+                    values = pool.map(func, specs, chunksize=1)
+                else:
+                    handles = []
+                    for i, spec in enumerate(specs):
+                        handles.append(pool.apply_async(wrapped, (spec,)))
+                        monitor.on_dispatch(i)
+                    observed = _drain_observed(handles, monitor)
+                pool.close()
+            except BaseException:
+                pool.terminate()
+                raise
+            finally:
+                pool.join()
+            if monitor is None:
+                return values
     for obs in observed:  # first failure wins, in input order
         if obs["error"] is not None:
             raise obs["error"]
@@ -681,18 +580,12 @@ class ParallelRunner(ExperimentRunner):
                  collect_metrics: bool = False,
                  seed: int = DEFAULT_SEED,
                  telemetry=NULL_TELEMETRY,
-                 compile_traces: bool = True,
-                 pool: Optional[WorkerPool] = None) -> None:
+                 compile_traces: bool = True) -> None:
         super().__init__(params_override=params_override, verify=verify,
                          profiler=profiler, seed=seed, telemetry=telemetry,
                          compile_traces=compile_traces)
-        #: Optional persistent :class:`WorkerPool`; when set it owns the
-        #: worker processes (and the job count) across prefetches and the
-        #: runner never spins up a one-shot pool of its own.
-        self.pool = pool
-        self.jobs = (pool.jobs if pool is not None
-                     else max(1, jobs if jobs is not None
-                              else (os.cpu_count() or 1)))
+        self.jobs = max(1, jobs if jobs is not None
+                        else (os.cpu_count() or 1))
         self.cache_root = cache_root
         self.collect_metrics = collect_metrics
         self._prefetched_metrics: Dict[Tuple[str, str], tuple] = {}
@@ -731,7 +624,7 @@ class ParallelRunner(ExperimentRunner):
                                        jobs=self.jobs)
         outs = fan_out(simulate_cell, specs, self.jobs,
                        profiler=self.profiler, phase="sweep",
-                       monitor=monitor, pool=self.pool)
+                       monitor=monitor)
         cached = corrupt = 0
         for out in outs:  # input order: the merge is deterministic
             key = (out["system"], out["workload"])

@@ -1,15 +1,13 @@
-"""Plain-text table rendering and shared JSON payload builders.
+"""Plain-text table rendering and the sweep JSON payload builder.
 
-The payload builders exist so every producer of a sweep/compare document
-— ``repro sweep --json``, ``repro compare --json``, and the job service's
-result endpoint — assembles it through one code path.  That is what makes
-the service's byte-identity guarantee (a job result equals the direct CLI
-run) a structural property instead of a test-enforced coincidence.
+:func:`sweep_result_payload` builds the deterministic part of the
+``repro sweep --json`` document from a (possibly prefetched) runner, so
+serial and ``--jobs N`` sweeps emit it through one code path.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence
 
 
 def _fmt(value) -> str:
@@ -69,12 +67,3 @@ def sweep_result_payload(runner, systems: Sequence[str],
             "baseline": "IO" if base_results else None,
             "cells": cells, "speedups": speedups}
 
-
-def compare_entry(result, base) -> Tuple[Dict[str, object], float]:
-    """One system's row of a compare document: the SimResult JSON view
-    (metrics stripped) plus its speedup over the baseline result."""
-    speedup = base.time_ns / result.time_ns
-    entry = result.to_json_dict()
-    entry.pop("metrics", None)
-    entry["speedup_vs_IO"] = speedup
-    return entry, speedup

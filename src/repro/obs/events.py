@@ -19,9 +19,9 @@ of *units of work* whose lifecycle this module records as events:
     The unit completed / raised (terminal; ``failed`` carries the
     error).
 ``cancelled``
-    The unit was abandoned before executing (terminal): its job was
-    cancelled, or the service drained on SIGTERM and checkpointed the
-    remaining cells instead of running them.
+    The unit was abandoned before executing (terminal).  Nothing emits
+    it any more; the schema keeps it so that older logs holding it
+    still read and conserve.
 ``stalled``
     The watchdog flagged the unit as exceeding ``k x`` the historical
     p95 per-unit wall-clock (the unit may still finish later).
@@ -70,14 +70,17 @@ EVENT_SCHEMA_VERSION = 1
 #: Default event-log location (sibling of ``runs.jsonl`` in the store).
 DEFAULT_EVENTS_PATH = os.path.join(".eve-runs", "events.jsonl")
 
-#: Every event kind the schema admits.
+#: Every event kind the schema admits.  ``cancelled`` is no longer
+#: emitted but stays admitted: existing logs may hold it, and reading
+#: them must not start failing.
 EVENT_KINDS = (
     "campaign_started", "queued", "started", "heartbeat", "cache_hit",
     "cache_corrupt", "finished", "failed", "cancelled", "stalled",
     "campaign_finished",
 )
 
-#: Exactly one of these per unit (the conservation invariant).
+#: Exactly one of these per unit (the conservation invariant);
+#: ``cancelled`` stays for the same reason as in :data:`EVENT_KINDS`.
 TERMINAL_EVENTS = ("cache_hit", "finished", "failed", "cancelled")
 
 #: Wall-clock-driven kinds, excluded from determinism comparisons.
@@ -210,11 +213,11 @@ def follow_events(path: str, poll_seconds: float = 0.5,
     """Yield events appended to ``path`` as they land (``tail -f``).
 
     Polls the flock'd JSONL for growth; a missing file simply means "no
-    events yet" (the service may not have started its first campaign),
-    and a shrinking file (rotated/truncated log) restarts from the top.
-    A partial final line — an appender mid-write on a non-flock host —
-    is buffered until its newline arrives, never parsed early.  ``stop``
-    is checked once per poll; without one, iterate until interrupted.
+    events yet" (no campaign has finalized into it yet), and a shrinking
+    file (rotated/truncated log) restarts from the top.  A partial final
+    line — an appender mid-write on a non-flock host — is buffered until
+    its newline arrives, never parsed early.  ``stop`` is checked once
+    per poll; without one, iterate until interrupted.
     """
     offset = 0
     buffer = ""
@@ -424,17 +427,10 @@ class CampaignTelemetry:
                  progress=None, watchdog: Optional[Watchdog] = None,
                  fingerprint: str = "", campaign_id: Optional[str] = None,
                  clock: Callable[[], float] = time.monotonic,
-                 heartbeat_every: float = 5.0,
-                 tap: Optional[Callable[[Event], None]] = None) -> None:
+                 heartbeat_every: float = 5.0) -> None:
         self.kind = kind
         self.log = log
         self.progress = progress
-        #: Live per-event callback, invoked at emission time (before the
-        #: deterministic merge, so in *completion* order).  The job
-        #: service uses it to stream NDJSON progress to HTTP subscribers
-        #: while the campaign runs; a raising tap is dropped rather than
-        #: allowed to fail the campaign.
-        self.tap = tap
         self.watchdog = watchdog or Watchdog()
         self.fingerprint = fingerprint
         self.clock = clock
@@ -475,11 +471,6 @@ class CampaignTelemetry:
         if event not in EVENT_KINDS:
             raise EventLogError(f"unknown event kind {event!r}")
         record = self._event(event, unit, t, worker, detail)
-        if self.tap is not None:
-            try:
-                self.tap(record)
-            except Exception:
-                self.tap = None  # a broken subscriber must not kill the run
         if unit == CAMPAIGN_UNIT:
             (self._head if not self._unit_order or event == "campaign_started"
              else self._tail).append(record)
@@ -527,18 +518,6 @@ class CampaignTelemetry:
         self._failed += not ok
         if ok and not cached:
             self.watchdog.observe(end - start)
-        if self.progress is not None:
-            self.progress.update(self._done, cached=self._cached,
-                                 failed=self._failed,
-                                 stalled=len(self._stalled))
-
-    def unit_cancelled(self, unit: str,
-                       detail: Optional[dict] = None) -> None:
-        """Record one unit's abandonment (terminal, conservation-safe):
-        the queued cell will never execute because its job was cancelled
-        or the service is draining."""
-        self.emit("cancelled", unit, detail=detail)
-        self._done += 1
         if self.progress is not None:
             self.progress.update(self._done, cached=self._cached,
                                  failed=self._failed,

@@ -137,6 +137,6 @@ def workload_names() -> list:
 
 
 def tiny_overrides() -> Dict[str, Dict[str, int]]:
-    """Per-workload test-sized parameter overrides — the ``--tiny``
-    mapping the CLI, the job service, and the test suite all share."""
+    """Per-workload test-sized parameter overrides — the mapping behind
+    the CLI's ``--tiny`` flag."""
     return {name: dict(wl.tiny_params) for name, wl in REGISTRY.items()}

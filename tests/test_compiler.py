@@ -34,8 +34,7 @@ from repro.compiler.passes import DceResult
 from repro.config import make_system
 from repro.errors import CompilerError, MemoryModelError
 from repro.experiments import ExperimentRunner
-from repro.experiments.parallel import (CACHE_VERSION, params_fingerprint,
-                                        simulate_cell)
+from repro.experiments.parallel import params_fingerprint, simulate_cell
 from repro.faults import fuzz
 from repro.faults.fuzz import (FUZZ_WIDTHS, compare_runs, generate_case,
                                run_dut, run_oracle)
@@ -328,9 +327,6 @@ class TestFastMemorySystem:
 
 
 class TestCacheDistinctness:
-    def test_cache_schema_bumped_for_the_compiler(self):
-        assert CACHE_VERSION == 3
-
     def test_compiler_descriptor_shapes(self):
         assert compiler_descriptor(False) is None
         descriptor = compiler_descriptor(True)

@@ -84,6 +84,15 @@ class TestEventSchema:
             _telemetry(clock=FakeClock()).emit("exploded", "u")
 
 
+def _append_events(args):
+    """Pool-worker side of the EventLog contention test (picklable)."""
+    path, campaign, count = args
+    log = EventLog(path)
+    log.append([Event(event="queued", unit=f"{campaign}/{i}", t=float(i),
+                      campaign=campaign, seq=i) for i in range(count)])
+    return campaign
+
+
 class TestEventLog:
     def test_append_and_read(self, tmp_path):
         log = EventLog(str(tmp_path / "events.jsonl"))
@@ -112,6 +121,24 @@ class TestEventLog:
         path.write_text('{"bad json\n')
         with pytest.raises(EventLogError, match=":1:"):
             read_events(str(path))
+
+    def test_pool_workers_append_events_without_interleaving(self,
+                                                             tmp_path):
+        import multiprocessing
+        from repro.experiments.parallel import START_METHOD
+        path = str(tmp_path / "events.jsonl")
+        ctx = multiprocessing.get_context(START_METHOD)
+        with ctx.Pool(processes=4) as pool:
+            done = pool.map(_append_events,
+                            [(path, f"c{i}", 20) for i in range(8)])
+        assert sorted(done) == [f"c{i}" for i in range(8)]
+        events = read_events(path)
+        assert len(events) == 160  # no torn or interleaved lines
+        by_campaign = {}
+        for event in events:
+            by_campaign.setdefault(event.campaign, []).append(event.seq)
+        assert all(seqs == list(range(20))
+                   for seqs in by_campaign.values())
 
 
 # -- conservation --------------------------------------------------------------

@@ -44,6 +44,26 @@ def _double(x):
     return x * 2
 
 
+def _fail_on_two(x):
+    if x == 2:
+        raise ValueError("cell 2 failed")
+    return x
+
+
+class _CountingMonitor:
+    def __init__(self):
+        self.completed = 0
+
+    def on_dispatch(self, index):
+        pass
+
+    def on_complete(self, index, observation):
+        self.completed += 1
+
+    def poll(self):
+        pass
+
+
 class TestFanOut:
     def test_empty_specs_short_circuit(self):
         assert fan_out(_double, [], jobs=8) == []
@@ -53,6 +73,18 @@ class TestFanOut:
         serial = fan_out(_double, specs, jobs=1)
         pooled = fan_out(_double, specs, jobs=3)
         assert serial == pooled == [x * 2 for x in specs]
+
+    @pytest.mark.parametrize("monitored", [False, True])
+    def test_pool_workers_are_reaped(self, monitored):
+        monitor = _CountingMonitor() if monitored else None
+        assert fan_out(_double, [1, 2, 3], jobs=2,
+                       monitor=monitor) == [2, 4, 6]
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ValueError, match="cell 2 failed"):
+            fan_out(_fail_on_two, [1, 2, 3], jobs=2, monitor=monitor)
+        assert multiprocessing.active_children() == []
+        if monitor is not None:
+            assert monitor.completed == 6
 
     def test_profiler_phase_is_attributed(self):
         profiler = SelfProfiler()
@@ -172,6 +204,36 @@ class TestCellCache:
         assert second["cached"] is True
         assert second["metrics_flat"] == first["metrics_flat"]
         assert second["result"].cycles == first["result"].cycles
+
+    def test_source_change_misses_trace_and_result(self, tmp_path,
+                                                   monkeypatch):
+        from repro.experiments import parallel
+        spec = ("O3+EVE-1", "vvadd", TINY_PARAMS, str(tmp_path), False,
+                True)
+        cold = simulate_cell(spec)
+        assert cold["cache"]["result"] == cold["cache"]["trace"] == "miss"
+        assert simulate_cell(spec)["cached"] is True
+        monkeypatch.setattr(parallel, "_SOURCE_FP", "0" * 64)
+        edited = simulate_cell(spec)
+        assert edited["cached"] is False
+        assert edited["cache"]["result"] == edited["cache"]["trace"] == "miss"
+
+    def test_source_fingerprint_tracks_file_bytes(self, tmp_path,
+                                                  monkeypatch):
+        from repro.experiments import parallel
+        (tmp_path / "model.py").write_text("LATENCY = 1\n")
+        (tmp_path / "notes.txt").write_text("ignored")
+        monkeypatch.setattr(parallel, "_PACKAGE_ROOT", str(tmp_path))
+
+        def digest():
+            monkeypatch.setattr(parallel, "_SOURCE_FP", None)
+            return parallel.source_fingerprint()
+
+        before = digest()
+        (tmp_path / "notes.txt").write_text("still ignored")
+        assert digest() == before
+        (tmp_path / "model.py").write_text("LATENCY = 6\n")
+        assert digest() != before
 
     def test_config_fingerprint_stable(self):
         assert sweep_config_fingerprint() == sweep_config_fingerprint()
