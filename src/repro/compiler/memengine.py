@@ -5,26 +5,35 @@ arrays in numpy, which is the right shape for bulk state queries (the
 reconfiguration FSM walks ways with slices) but a terrible shape for the
 hot path: every ``access()`` call pays numpy scalar dispatch several times
 over (``np.nonzero`` on an 8-wide row, ``np.argmin``, fancy indexing), and
-backprop alone issues ~1.7M line requests.  The compiled evaluator swaps
-in this module's :class:`FastMemorySystem`, which reproduces the numpy
-model's behaviour *exactly*:
+backprop alone issues ~557k line requests per cell.  The compiled
+evaluator swaps in this module's :class:`FastMemorySystem`, which
+reproduces the numpy model's behaviour *exactly*:
 
 * identical LRU clocks, tie-breaks (first matching way, first invalid way,
   first-minimum stamp — the ``np.argmin`` convention), and dirty-bit
-  updates, via a per-set ``{line: way}`` index plus way-major lists;
-* identical timing chains (``_from_l1`` → ``_from_l2`` → ``_from_llc`` →
-  ``_from_dram``) with MSHR and DRAM models transcribed line-for-line
-  from :class:`~repro.mem.mshr.MshrPool` and
-  :class:`~repro.mem.dram.DramChannel` (same statistics, minus the
-  instrumentation branches that are dead in uninstrumented runs);
+  updates, via per-set ``{line: way << 1 | dirty}`` dicts ordered
+  oldest-first plus sorted free-way lists.  A packed int entry means a
+  fill or a hit allocates nothing;
+* identical timing: :meth:`FastMemorySystem.access` is one method body
+  that walks L1 → L2 → LLC → DRAM and back (MSHR heaps, the L2 bank
+  slot, DRAM service and writebacks, the inclusive invalidation of LLC
+  victims, the L2 and L1 fills and their dirty-victim writebacks) in
+  the reference model's order, with its float operations in the same
+  order, and allocates one :class:`FastCompletion`;
 * identical statistics (``level_stats`` / per-cache hit/miss counters /
   Figure 8 vector-port counters).
 
 All arithmetic is double precision either way (``np.float64`` *is* a C
 double), so completion times — and therefore total cycle counts — come
-out byte-identical.  ``tests/test_compiler.py`` locks this with a
-differential test against :class:`MemorySystem` on random address
-streams over all three ports.
+out byte-identical.  ``tests/test_compiler.py`` locks this with
+differential tests against :class:`MemorySystem`: random address streams
+over all three ports, plus targeted streams that reach every branch of
+the kernel.
+
+``access`` deliberately stays a per-line entry point on the class (no
+per-stream variant, no per-instance closure): it is the boundary at which
+the benchmark probe records and replays every request, and the machines'
+per-line loops are the only callers.
 
 The fast model supports no instrumentation: it is only ever constructed
 for uninstrumented runs (tracer/metrics/attribution all disabled), where
@@ -40,7 +49,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..config import CacheConfig, DramConfig, SystemConfig
 from ..errors import MemoryModelError
-from ..mem.cache import Eviction
 from ..mem.hierarchy import PORTS
 from ..obs.attribution import NULL_ATTRIBUTION
 from ..obs.metrics import NULL_METRICS
@@ -67,19 +75,24 @@ class FastCompletion:
 class FastCacheArray:
     """Replica of :class:`~repro.mem.cache.CacheArray` built for probes.
 
-    Per-set ``{line: [way, dirty]}`` dicts make tag matching O(1) (tags
-    are unique within a set: ``fill`` refreshes instead of duplicating)
-    and double as the recency order: valid ways always carry *unique*
-    LRU stamps in the numpy model (every touch advances the clock), so
-    "first minimum stamp" is simply the least-recently-touched line —
-    the dict's first key, when touches move entries to the end.  A
-    sorted free-way list keeps the "first invalid way" rule.
+    Per-set ``{line: way << 1 | dirty}`` dicts make tag matching O(1)
+    (tags are unique within a set: ``fill_fast`` refreshes instead of
+    duplicating) and double as the recency order: valid ways always
+    carry *unique* LRU stamps in the numpy model (every touch advances
+    the clock), so "first minimum stamp" is simply the
+    least-recently-touched line — the dict's first key, when touches
+    move entries to the end.  A sorted free-way list keeps the "first
+    invalid way" rule.
 
     Both per-set structures materialise lazily (``None`` until the set
     is first filled): constructing the model costs two ``[None] * sets``
     lists instead of thousands of dicts, which matters because the
     compiled path builds a fresh FastMemorySystem per simulation and
     tiny-workload runs take single-digit milliseconds.
+
+    :meth:`FastMemorySystem.access` inlines ``lookup``, ``fill_fast``
+    and ``invalidate``; these methods are the readable statement of the
+    same operations on the packed encoding.
     """
 
     __slots__ = ("config", "sets", "ways", "line_bytes", "_lru", "_free",
@@ -90,18 +103,13 @@ class FastCacheArray:
         self.sets = config.sets
         self.ways = config.ways
         self.line_bytes = config.line_bytes
-        #: Per set: resident line -> [way, dirty], ordered oldest-first;
-        #: ``None`` until the set is first filled.
-        self._lru: List[Optional[Dict[int, list]]] = [None] * self.sets
+        #: Per set: resident line -> ``way << 1 | dirty``, ordered
+        #: oldest-first; ``None`` until the set is first filled.
+        self._lru: List[Optional[Dict[int, int]]] = [None] * self.sets
         #: Per set: invalid way indices, ascending; ``None`` = all free.
         self._free: List[Optional[List[int]]] = [None] * self.sets
         self.hits = 0
         self.misses = 0
-
-    # -- address mapping ----------------------------------------------------
-
-    def bank_of(self, line_addr: int) -> int:
-        return (line_addr // self.line_bytes) % self.config.banks
 
     # -- operations ---------------------------------------------------------
 
@@ -112,25 +120,17 @@ class FastCacheArray:
         if lru is not None:
             entry = lru.pop(line, None)
             if entry is not None:
-                lru[line] = entry  # reinsert at the end: most recent
-                if is_store:
-                    entry[1] = True
+                # reinsert at the end: most recent
+                lru[line] = entry | 1 if is_store else entry
                 self.hits += 1
                 return True
         self.misses += 1
         return False
 
-    def fill(self, line_addr: int, dirty: bool = False) -> Optional[Eviction]:
-        """Install a line, evicting the LRU way if the set is full."""
-        evicted = self.fill_fast(line_addr, dirty)
-        if evicted is None:
-            return None
-        return Eviction(line_addr=evicted[0], dirty=evicted[1])
-
     def fill_fast(self, line_addr: int,
                   dirty: bool) -> Optional[Tuple[int, bool]]:
-        """``fill`` without the :class:`Eviction` allocation: returns
-        ``(victim line address, victim dirty)`` or ``None``."""
+        """Install a line, evicting the LRU way if the set is full:
+        returns ``(victim line address, victim dirty)`` or ``None``."""
         line = line_addr // self.line_bytes
         s = line % self.sets
         lru = self._lru[s]
@@ -141,20 +141,18 @@ class FastCacheArray:
             entry = lru.pop(line, None)
             if entry is not None:
                 # already present (e.g. racing fills) — refresh
-                lru[line] = entry
-                if dirty:
-                    entry[1] = True
+                lru[line] = entry | 1 if dirty else entry
                 return None
             free = self._free[s]
         evicted = None
         if free:
-            victim = free.pop(0)    # lowest invalid index, as the scan
+            way = free.pop(0)    # lowest invalid index, as the scan
         else:
-            old_line, old_entry = next(iter(lru.items()))  # oldest touch
-            del lru[old_line]
-            victim = old_entry[0]
-            evicted = (old_line * self.line_bytes, old_entry[1])
-        lru[line] = [victim, dirty]
+            old_line = next(iter(lru))  # oldest touch
+            old = lru.pop(old_line)
+            way = old >> 1
+            evicted = (old_line * self.line_bytes, bool(old & 1))
+        lru[line] = way << 1 | 1 if dirty else way << 1
         return evicted
 
     def invalidate(self, line_addr: int) -> bool:
@@ -171,8 +169,8 @@ class FastCacheArray:
         if entry is None:
             return False
         # A resident line implies fill ran on this set, so _free exists.
-        insort(self._free[s], entry[0])
-        return entry[1]
+        insort(self._free[s], entry >> 1)
+        return bool(entry & 1)
 
     # -- bulk state used by reconfiguration ---------------------------------
 
@@ -186,21 +184,25 @@ class FastCacheArray:
             if not lru:
                 continue
             for entry in lru.values():
-                if entry[0] in wanted:
+                if entry >> 1 in wanted:
                     total += 1
-                    if entry[1]:
-                        dirty += 1
+                    dirty += entry & 1
         return total, dirty
 
     def flush_ways(self, ways: slice) -> Tuple[int, int]:
-        """Invalidate the selected ways; returns (lines walked, dirty)."""
+        """Invalidate the selected ways; returns (lines walked, dirty).
+
+        This is the EVE spawn walk: the freed ways go back on each set's
+        free list in ascending order, so later fills reissue them in way
+        order exactly as the numpy model's first-invalid-way scan does.
+        """
         total, dirty = self.resident_lines(ways)
         wanted = frozenset(range(*ways.indices(self.ways)))
         for s, lru in enumerate(self._lru):
             if not lru:
                 continue
-            doomed = [(line, entry[0]) for line, entry in lru.items()
-                      if entry[0] in wanted]
+            doomed = [(line, entry >> 1) for line, entry in lru.items()
+                      if entry >> 1 in wanted]
             if doomed:
                 free = self._free[s]
                 for line, way in doomed:
@@ -229,8 +231,9 @@ class FastCacheArray:
 
 
 class FastMshrPool:
-    """Transcription of :class:`~repro.mem.mshr.MshrPool` without the
-    attribution hook; token-heap semantics and statistics identical."""
+    """State and statistics of :class:`~repro.mem.mshr.MshrPool` without
+    the attribution hook.  :meth:`FastMemorySystem.access` runs the
+    token-heap acquire/release on ``_busy`` inline."""
 
     __slots__ = ("size", "name", "_busy", "acquires", "stall_cycles",
                  "stalled_acquires", "occupancy_hwm")
@@ -245,35 +248,6 @@ class FastMshrPool:
         self.stall_cycles = 0.0
         self.stalled_acquires = 0
         self.occupancy_hwm = 0
-
-    def acquire(self, now: float) -> Tuple[float, float]:
-        busy = self._busy
-        while busy and busy[0] <= now:
-            heappop(busy)
-        if len(busy) < self.size:
-            self.acquires += 1
-            occupancy = len(busy) + 1
-            if occupancy > self.occupancy_hwm:
-                self.occupancy_hwm = occupancy
-            return now, 0.0
-        grant = busy[0]
-        while busy and busy[0] <= grant:
-            heappop(busy)
-        stall = grant - now
-        self.stall_cycles += stall
-        self.stalled_acquires += 1
-        self.acquires += 1
-        occupancy = len(busy) + 1
-        if occupancy > self.occupancy_hwm:
-            self.occupancy_hwm = occupancy
-        return grant, stall
-
-    def release(self, at: float) -> None:
-        heappush(self._busy, at)
-
-    @property
-    def outstanding(self) -> int:
-        return len(self._busy)
 
     def stats(self) -> dict:
         return {
@@ -292,9 +266,10 @@ class FastMshrPool:
 
 
 class FastDramChannel:
-    """Transcription of :class:`~repro.mem.dram.DramChannel` without
-    tracer/attribution branches; ``transfer_cycles`` is precomputed
-    (the original recomputes the division per request)."""
+    """State and statistics of :class:`~repro.mem.dram.DramChannel`
+    without tracer/attribution branches; ``transfer_cycles`` is
+    precomputed and :meth:`FastMemorySystem.access` runs the service and
+    writeback recurrences inline."""
 
     __slots__ = ("config", "line_bytes", "transfer_cycles", "access_latency",
                  "_next_free", "requests", "writebacks", "busy_cycles")
@@ -309,25 +284,6 @@ class FastDramChannel:
         self.requests = 0
         self.writebacks = 0
         self.busy_cycles = 0.0
-
-    def service(self, now: float) -> Tuple[float, float]:
-        transfer = self.transfer_cycles
-        next_free = self._next_free
-        start = now if now > next_free else next_free
-        self._next_free = start + transfer
-        self.requests += 1
-        self.busy_cycles += transfer
-        return start, start + self.access_latency
-
-    def writeback(self, now: float) -> float:
-        transfer = self.transfer_cycles
-        next_free = self._next_free
-        start = now if now > next_free else next_free
-        self._next_free = start + transfer
-        self.requests += 1
-        self.writebacks += 1
-        self.busy_cycles += transfer
-        return start + transfer
 
     def utilisation(self, elapsed: float) -> float:
         return self.busy_cycles / elapsed if elapsed > 0 else 0.0
@@ -350,11 +306,12 @@ class FastDramChannel:
 class FastMemorySystem:
     """Drop-in, uninstrumented replica of :class:`MemorySystem`.
 
-    The level chains are a line-for-line transcription of the numpy
-    model's with the always-false ``tracer.enabled`` / ``metrics.enabled``
-    branches removed.  Internally the chains pass ``(grant, done, level,
-    stall)`` tuples and only the public ``access`` allocates a
-    completion object — the callers read it once and discard it.
+    ``access`` is a one-frame transcription of the numpy model's
+    ``_from_l1`` → ``_from_l2`` → ``_from_llc`` → ``_from_dram`` chain
+    with the always-false ``tracer.enabled`` / ``metrics.enabled``
+    branches removed.  All three levels must share one line size (every
+    shipped configuration does; the trace compiler's hoisted line lists
+    assume it too), so the walk keys every level by one line number.
     """
 
     def __init__(self, config: SystemConfig, tracer=None, metrics=None,
@@ -364,6 +321,12 @@ class FastMemorySystem:
             raise MemoryModelError(
                 "FastMemorySystem does not support instrumentation; "
                 "use MemorySystem for traced/metered/attributed runs")
+        line_sizes = {config.l1d.line_bytes, config.l2.line_bytes,
+                      config.llc.line_bytes}
+        if len(line_sizes) != 1:
+            raise MemoryModelError(
+                "FastMemorySystem needs one line size across L1D/L2/LLC, "
+                f"got {sorted(line_sizes)}")
         self.config = config
         self.tracer = NULL_TRACER
         self.metrics = NULL_METRICS
@@ -379,99 +342,281 @@ class FastMemorySystem:
         self.vector_mshr_stall = 0.0
         self.vector_requests = 0
         self.vector_stalled_requests = 0
-        # Hoisted hot constants (attribute loads add up at 1.7M calls).
+        # Hoisted hot constants (attribute loads add up at ~2M calls).
+        self._line_bytes = config.l1d.line_bytes
+        self._l2_banks = config.l2.banks
         self._l1_hit = config.l1d.hit_latency
         self._l2_hit = config.l2.hit_latency
         self._llc_hit = config.llc.hit_latency
 
-    # -- internal level chain (tuples: grant, done, level, stall) -----------
-
-    def _from_dram(self, now: float, line_addr: int,
-                   is_store: bool) -> Tuple[float, float, str, float]:
-        grant, stall = self.llc_mshrs.acquire(now)
-        # dram.service(), inlined on the hottest edge of the chain
-        dram = self.dram
-        transfer = dram.transfer_cycles
-        at = grant + self._llc_hit
-        next_free = dram._next_free
-        start = at if at > next_free else next_free
-        dram._next_free = start + transfer
-        dram.requests += 1
-        dram.busy_cycles += transfer
-        done = start + dram.access_latency
-        evicted = self.llc.fill_fast(line_addr, is_store)
-        if evicted is not None:
-            ev_line, ev_dirty = evicted
-            if ev_dirty:
-                dram.writeback(done)
-            # Inclusive hierarchy: drop inner copies of the victim.
-            if self.l2.invalidate(ev_line):
-                dram.writeback(done)
-            self.l1d.invalidate(ev_line)
-        self.llc_mshrs.release(done)
-        return grant, done, "dram", stall
-
-    def _from_llc(self, now: float, line_addr: int,
-                  is_store: bool) -> Tuple[float, float, str, float]:
-        if self.llc.lookup(line_addr, is_store):
-            return now, now + self._llc_hit, "llc", 0.0
-        return self._from_dram(now, line_addr, is_store)
-
-    def _from_l2(self, now: float, line_addr: int,
-                 is_store: bool) -> Tuple[float, float, str, float]:
-        bank_free = self._l2_bank_free
-        bank = self.l2.bank_of(line_addr)
-        at = bank_free[bank]
-        start = at if at > now else now
-        bank_free[bank] = start + 1.0  # pipelined, 1-cycle occupancy
-        if self.l2.lookup(line_addr, is_store):
-            return now, start + self._l2_hit, "l2", start - now
-        grant, stall = self.l2_mshrs.acquire(start)
-        _, done, level, inner_stall = self._from_llc(
-            grant + self._l2_hit, line_addr, False)
-        evicted = self.l2.fill_fast(line_addr, is_store)
-        if evicted is not None and evicted[1]:
-            # Dirty L2 victims write back into the LLC.
-            if not self.llc.lookup(evicted[0], is_store=True):
-                self.llc.fill_fast(evicted[0], True)
-        self.l2_mshrs.release(done)
-        return grant, done, level, stall + inner_stall
-
-    def _from_l1(self, now: float, line_addr: int,
-                 is_store: bool) -> Tuple[float, float, str, float]:
-        if self.l1d.lookup(line_addr, is_store):
-            return now, now + self._l1_hit, "l1", 0.0
-        grant, stall = self.l1d_mshrs.acquire(now)
-        _, done, level, inner_stall = self._from_l2(
-            grant + self._l1_hit, line_addr, False)
-        evicted = self.l1d.fill_fast(line_addr, is_store)
-        if evicted is not None and evicted[1]:
-            if not self.l2.lookup(evicted[0], is_store=True):
-                self.l2.fill_fast(evicted[0], True)
-        self.l1d_mshrs.release(done)
-        return grant, done, level, stall + inner_stall
-
-    # -- public ports ---------------------------------------------------------
+    # -- public port ----------------------------------------------------------
 
     def access(self, now: float, line_addr: int, is_store: bool,
                port: str = "l1") -> FastCompletion:
-        """Issue one cache-line request on the given port."""
+        """Issue one cache-line request on the given port.
+
+        The walk runs outward-in (probe, MSHR acquire, next level) and
+        then inward-out (fill, release), so ``grant``/``stall`` of the
+        outermost missing level wrap the inner ones exactly as the
+        reference chain's return values do.  Every fill below installs a
+        line its own level just missed on: nothing between that probe
+        and the fill inserts into the level (LLC victims only leave
+        inner levels), so the fills skip ``fill_fast``'s refresh check.
+        """
+        line = line_addr // self._line_bytes
+        l1_missed = l2_missed = False
         if port == "l1":
-            grant, done, level, stall = self._from_l1(now, line_addr,
-                                                      is_store)
+            l1d = self.l1d
+            lru = l1d._lru[line % l1d.sets]
+            if lru is not None:
+                entry = lru.pop(line, None)
+                if entry is not None:
+                    lru[line] = entry | 1 if is_store else entry
+                    l1d.hits += 1
+                    return FastCompletion(now, now + self._l1_hit, "l1", 0.0)
+            l1d.misses += 1
+            l1_missed = True
+            pool = self.l1d_mshrs
+            busy = pool._busy
+            while busy and busy[0] <= now:
+                heappop(busy)
+            if len(busy) < pool.size:
+                grant1 = now
+                stall1 = 0.0
+            else:
+                grant1 = busy[0]
+                while busy and busy[0] <= grant1:
+                    heappop(busy)
+                stall1 = grant1 - now
+                pool.stall_cycles += stall1
+                pool.stalled_acquires += 1
+            pool.acquires += 1
+            held = len(busy) + 1
+            if held > pool.occupancy_hwm:
+                pool.occupancy_hwm = held
+            at2 = grant1 + self._l1_hit
+            store2 = False
         elif port == "l2":
-            grant, done, level, stall = self._from_l2(now, line_addr,
-                                                      is_store)
+            at2 = now
+            store2 = is_store
         elif port == "llc":
-            grant, done, level, stall = self._from_llc(now, line_addr,
-                                                       is_store)
+            at3 = now
+            store3 = is_store
+        else:
+            raise MemoryModelError(
+                f"unknown port {port!r} (expected one of {PORTS})")
+
+        l2 = self.l2
+        if port != "llc":
+            # L2 bank slot: pipelined, 1-cycle occupancy.
+            bank_free = self._l2_bank_free
+            bank = line % self._l2_banks
+            start = bank_free[bank]
+            if at2 > start:
+                start = at2
+            bank_free[bank] = start + 1.0
+            hit = False
+            lru = l2._lru[line % l2.sets]
+            if lru is not None:
+                entry = lru.pop(line, None)
+                if entry is not None:
+                    lru[line] = entry | 1 if store2 else entry
+                    l2.hits += 1
+                    hit = True
+            if hit:
+                grant = at2
+                done = start + self._l2_hit
+                level = "l2"
+                stall = start - at2
+            else:
+                l2.misses += 1
+                l2_missed = True
+                pool = self.l2_mshrs
+                busy = pool._busy
+                while busy and busy[0] <= start:
+                    heappop(busy)
+                if len(busy) < pool.size:
+                    grant2 = start
+                    stall2 = 0.0
+                else:
+                    grant2 = busy[0]
+                    while busy and busy[0] <= grant2:
+                        heappop(busy)
+                    stall2 = grant2 - start
+                    pool.stall_cycles += stall2
+                    pool.stalled_acquires += 1
+                pool.acquires += 1
+                held = len(busy) + 1
+                if held > pool.occupancy_hwm:
+                    pool.occupancy_hwm = held
+                at3 = grant2 + self._l2_hit
+                store3 = False
+
+        llc = self.llc
+        if l2_missed or port == "llc":
+            hit = False
+            lru = llc._lru[line % llc.sets]
+            if lru is not None:
+                entry = lru.pop(line, None)
+                if entry is not None:
+                    lru[line] = entry | 1 if store3 else entry
+                    llc.hits += 1
+                    hit = True
+            if hit:
+                grant = at3
+                done = at3 + self._llc_hit
+                level = "llc"
+                stall = 0.0
+            else:
+                llc.misses += 1
+                pool = self.llc_mshrs
+                busy = pool._busy
+                while busy and busy[0] <= at3:
+                    heappop(busy)
+                if len(busy) < pool.size:
+                    grant = at3
+                    stall = 0.0
+                else:
+                    grant = busy[0]
+                    while busy and busy[0] <= grant:
+                        heappop(busy)
+                    stall = grant - at3
+                    pool.stall_cycles += stall
+                    pool.stalled_acquires += 1
+                pool.acquires += 1
+                held = len(busy) + 1
+                if held > pool.occupancy_hwm:
+                    pool.occupancy_hwm = held
+                # DRAM service of the demand line.
+                dram = self.dram
+                transfer = dram.transfer_cycles
+                next_free = dram._next_free
+                busy_cycles = dram.busy_cycles
+                at = grant + self._llc_hit
+                begin = at if at > next_free else next_free
+                next_free = begin + transfer
+                dram.requests += 1
+                busy_cycles += transfer
+                done = begin + dram.access_latency
+                level = "dram"
+                # LLC fill; a victim leaves the inner levels too
+                # (inclusive), and dirty copies write back to DRAM.
+                s = line % llc.sets
+                lru = llc._lru[s]
+                if lru is None:
+                    lru = llc._lru[s] = {}
+                    free = llc._free[s] = list(range(llc.ways))
+                else:
+                    free = llc._free[s]
+                if free:
+                    lru[line] = free.pop(0) << 1 | store3
+                else:
+                    victim = next(iter(lru))
+                    old = lru.pop(victim)
+                    lru[line] = old & -2 | store3
+                    writebacks = old & 1
+                    inner = l2._lru[victim % l2.sets]
+                    if inner is not None:
+                        entry = inner.pop(victim, None)
+                        if entry is not None:
+                            insort(l2._free[victim % l2.sets], entry >> 1)
+                            writebacks += entry & 1
+                    l1d = self.l1d
+                    inner = l1d._lru[victim % l1d.sets]
+                    if inner is not None:
+                        entry = inner.pop(victim, None)
+                        if entry is not None:
+                            insort(l1d._free[victim % l1d.sets], entry >> 1)
+                    while writebacks:
+                        begin = done if done > next_free else next_free
+                        next_free = begin + transfer
+                        dram.requests += 1
+                        dram.writebacks += 1
+                        busy_cycles += transfer
+                        writebacks -= 1
+                dram._next_free = next_free
+                dram.busy_cycles = busy_cycles
+                heappush(busy, done)
+
+            if l2_missed:
+                # L2 fill; a dirty victim writes back into the LLC.
+                s = line % l2.sets
+                lru = l2._lru[s]
+                if lru is None:
+                    lru = l2._lru[s] = {}
+                    free = l2._free[s] = list(range(l2.ways))
+                else:
+                    free = l2._free[s]
+                if free:
+                    lru[line] = free.pop(0) << 1 | store2
+                else:
+                    victim = next(iter(lru))
+                    old = lru.pop(victim)
+                    lru[line] = old & -2 | store2
+                    if old & 1:
+                        s = victim % llc.sets
+                        lru = llc._lru[s]
+                        entry = lru.pop(victim, None) if lru else None
+                        if entry is not None:
+                            lru[victim] = entry | 1
+                            llc.hits += 1
+                        else:
+                            llc.misses += 1
+                            if lru is None:
+                                lru = llc._lru[s] = {}
+                                free = llc._free[s] = list(range(llc.ways))
+                            else:
+                                free = llc._free[s]
+                            if free:
+                                lru[victim] = free.pop(0) << 1 | 1
+                            else:
+                                way = lru.pop(next(iter(lru))) >> 1
+                                lru[victim] = way << 1 | 1
+                heappush(self.l2_mshrs._busy, done)
+                grant = grant2
+                stall = stall2 + stall
+
+        if l1_missed:
+            # L1 fill; a dirty victim writes back into the L2.
+            s = line % l1d.sets
+            lru = l1d._lru[s]
+            if lru is None:
+                lru = l1d._lru[s] = {}
+                free = l1d._free[s] = list(range(l1d.ways))
+            else:
+                free = l1d._free[s]
+            if free:
+                lru[line] = free.pop(0) << 1 | is_store
+            else:
+                victim = next(iter(lru))
+                old = lru.pop(victim)
+                lru[line] = old & -2 | is_store
+                if old & 1:
+                    s = victim % l2.sets
+                    lru = l2._lru[s]
+                    entry = lru.pop(victim, None) if lru else None
+                    if entry is not None:
+                        lru[victim] = entry | 1
+                        l2.hits += 1
+                    else:
+                        l2.misses += 1
+                        if lru is None:
+                            lru = l2._lru[s] = {}
+                            free = l2._free[s] = list(range(l2.ways))
+                        else:
+                            free = l2._free[s]
+                        if free:
+                            lru[victim] = free.pop(0) << 1 | 1
+                        else:
+                            way = lru.pop(next(iter(lru))) >> 1
+                            lru[victim] = way << 1 | 1
+            heappush(self.l1d_mshrs._busy, done)
+            return FastCompletion(grant1, done, level, stall1 + stall)
+        if port == "llc":
             self.vector_requests += 1
             self.vector_mshr_stall += stall
             if stall > 0:
                 self.vector_stalled_requests += 1
-        else:
-            raise MemoryModelError(
-                f"unknown port {port!r} (expected one of {PORTS})")
         return FastCompletion(grant, done, level, stall)
 
     # -- statistics -----------------------------------------------------------

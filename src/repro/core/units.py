@@ -75,14 +75,19 @@ class VmuModel:
         stall_total = 0.0
         is_store = pattern.is_store
         access = self.mem.access
+        interval = self.CYCLES_PER_REQUEST
         for i, line in enumerate(lines):
-            completion = access(t, line, is_store, port="llc")
+            completion = access(t, line, is_store, "llc")
+            done = completion.done
             if i == 0:
-                first_done = completion.done
-            last_done = max(last_done, completion.done)
+                first_done = done
+            if done > last_done:
+                last_done = done
             stall_total += completion.mshr_stall
-            t = max(t + self.CYCLES_PER_REQUEST,
-                    completion.grant + self.CYCLES_PER_REQUEST)
+            after_grant = completion.grant + interval
+            t += interval
+            if after_grant > t:
+                t = after_grant
         self.free_at = t
         self.busy_cycles += t - start
         self.stall_cycles += stall_total

@@ -197,13 +197,18 @@ class IntegratedVectorMachine(VectorMachineBase):
         t = start
         last_done = start
         is_store = instr.mem.is_store
+        acquire = self._lsq_window.acquire
+        release = self._lsq_window.release
+        access = self.mem.access
         for line in lines:
-            slot_at, _ = self._lsq_window.acquire(t)
-            completion = self.mem.access(slot_at, line,
-                                         is_store, port="l1")
-            self._lsq_window.release(completion.done)
-            last_done = max(last_done, completion.done)
-            t = max(slot_at, completion.grant) + interval
+            slot_at, _ = acquire(t)
+            completion = access(slot_at, line, is_store, "l1")
+            done = completion.done
+            release(done)
+            if done > last_done:
+                last_done = done
+            grant = completion.grant
+            t = (grant if grant > slot_at else slot_at) + interval
         n_uops = instr.mem.num_accesses if per_element else max(
             1, math.ceil(instr.vl / self.vl))
         self._issue_end = start + n_uops * interval

@@ -125,9 +125,9 @@ class ScalarCore:
         for pattern, pattern_lines in zip(block.accesses, lines):
             is_store = pattern.is_store
             for line in pattern_lines:
-                completion = access(now, line, is_store)
-                if completion.done - l1_hit > now:
-                    now = completion.done - l1_hit
+                ready = access(now, line, is_store).done - l1_hit
+                if ready > now:
+                    now = ready
         return now
 
     def _run_block_overlapped(self, now: float, block: ScalarBlock,
@@ -148,13 +148,15 @@ class ScalarCore:
         spacing = issue_cycles / n_lines
         exposed_end = now
         t_issue = now
+        unhidden = 1.0 - core.miss_overlap
         access = self.mem.access
         for pattern, pattern_lines in zip(block.accesses, lines):
             is_store = pattern.is_store
             for line in pattern_lines:
-                completion = access(t_issue, line, is_store)
-                latency = completion.done - t_issue
-                exposed = (latency - l1_hit) * (1.0 - core.miss_overlap)
-                exposed_end = max(exposed_end, t_issue + l1_hit + max(0.0, exposed))
+                latency = access(t_issue, line, is_store).done - t_issue
+                exposed = (latency - l1_hit) * unhidden
+                retire = t_issue + l1_hit + (exposed if exposed > 0.0 else 0.0)
+                if retire > exposed_end:
+                    exposed_end = retire
                 t_issue += spacing
         return max(end_issue, exposed_end)

@@ -99,12 +99,14 @@ class VectorMachineBase:
         if lines is None:
             lines = [[int(line) for line in pattern.line_addresses()]
                      for pattern in block.accesses]
+        unhidden = 1.0 - core.miss_overlap
+        access = self.mem.access
         for pattern, pattern_lines in zip(block.accesses, lines):
             is_store = pattern.is_store
             for line in pattern_lines:
-                completion = self.mem.access(t, line, is_store)
-                exposed = (completion.done - t) * (1.0 - core.miss_overlap)
-                end = max(end, t + exposed)
+                retire = t + (access(t, line, is_store).done - t) * unhidden
+                if retire > end:
+                    end = retire
                 t += 1.0
         if self.attr.enabled:
             # Charge the block's issue slots as busy and any exposed miss
@@ -152,13 +154,18 @@ class VectorMachineBase:
         is_store = pattern.is_store
         access = self.mem.access
         for line in lines:
-            completion = access(t, line, is_store, port=port)
+            completion = access(t, line, is_store, port)
+            done = completion.done
             if first_done is None:
-                first_done = completion.done
-            last_done = max(last_done, completion.done)
+                first_done = done
+            if done > last_done:
+                last_done = done
             stall_total += completion.mshr_stall
             # The next request leaves once this one was accepted.
-            t = max(t + issue_interval, completion.grant + issue_interval)
+            after_grant = completion.grant + issue_interval
+            t += issue_interval
+            if after_grant > t:
+                t = after_grant
         if self.tracer.enabled:
             self.tracer.span(
                 "VMU", f"stream:{'st' if pattern.is_store else 'ld'}",

@@ -203,20 +203,32 @@ class RecordDiff:
         failing = self.gated_changes() if strict else self.regressions()
         return 1 if failing else 0
 
+    def source_match(self) -> Optional[bool]:
+        """Did both records' results come from the same model code?
+        ``None`` when either record predates the source fingerprint."""
+        base = self.baseline.source_fingerprint
+        current = self.current.source_fingerprint
+        if not base or not current:
+            return None
+        return base == current
+
     def to_json_dict(self) -> Dict[str, object]:
         return {
             "baseline": {"record_id": self.baseline.record_id,
                          "kind": self.baseline.kind,
                          "label": self.baseline.label,
                          "git_sha": self.baseline.git.get("sha", "unknown"),
-                         "fingerprint": self.baseline.config_fingerprint},
+                         "fingerprint": self.baseline.config_fingerprint,
+                         "source": self.baseline.source_fingerprint},
             "current": {"record_id": self.current.record_id,
                         "kind": self.current.kind,
                         "label": self.current.label,
                         "git_sha": self.current.git.get("sha", "unknown"),
-                        "fingerprint": self.current.config_fingerprint},
+                        "fingerprint": self.current.config_fingerprint,
+                        "source": self.current.source_fingerprint},
             "fingerprint_match": (self.baseline.config_fingerprint
                                   == self.current.config_fingerprint),
+            "source_match": self.source_match(),
             "counts": self.counts(),
             "regressions": [e.name for e in self.regressions()],
             "entries": [e.to_json_dict() for e in self.interesting()],

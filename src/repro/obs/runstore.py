@@ -96,7 +96,10 @@ def config_fingerprint(extra: Optional[dict] = None) -> str:
 class RunRecord:
     """One archived experiment: identity, environment, and measurements.
 
-    ``results`` maps ``system -> workload -> {cycles, time_ns,
+    ``config_fingerprint`` is the experiment's identity (configs,
+    params, seed, compiler descriptor); ``source_fingerprint`` says which
+    model code computed it.  ``results`` maps ``system -> workload ->
+    {cycles, time_ns,
     instructions}`` (the deterministic core every diff keys on);
     ``speedups`` maps ``workload -> system -> speedup`` relative to
     ``speedup_baseline``; ``metrics`` is a flat ``name -> scalar`` view
@@ -112,6 +115,10 @@ class RunRecord:
     git: Dict[str, object] = field(default_factory=dict)
     host: Dict[str, str] = field(default_factory=dict)
     config_fingerprint: str = ""
+    #: Digest of the model code that produced the results
+    #: (:func:`~repro.experiments.parallel.source_fingerprint`); empty
+    #: on records written before the field existed.
+    source_fingerprint: str = ""
     tiny: bool = False
     command: str = ""
     results: Dict[str, Dict[str, Dict[str, float]]] = field(default_factory=dict)
@@ -155,11 +162,13 @@ def make_record(kind: str, *, label: str = "", tiny: bool = False,
                 command: str = "", extra: Optional[dict] = None,
                 fingerprint_extra: Optional[dict] = None) -> RunRecord:
     """A new record stamped with the current environment."""
+    from ..experiments.parallel import source_fingerprint
     return RunRecord(
         kind=kind, label=label, tiny=tiny, command=command,
         created=time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime()),
         git=git_info(), host=host_info(),
         config_fingerprint=config_fingerprint(fingerprint_extra),
+        source_fingerprint=source_fingerprint(),
         extra=dict(extra or {}))
 
 

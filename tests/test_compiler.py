@@ -322,6 +322,212 @@ class TestFastMemorySystem:
         with pytest.raises(MemoryModelError):
             FastMemorySystem(config, metrics=MetricsRegistry())
 
+    def test_refuses_mixed_line_sizes(self):
+        from dataclasses import replace
+        config = make_system("IO")
+        mixed = replace(config, l2=replace(config.l2, line_bytes=128))
+        with pytest.raises(MemoryModelError, match="line size"):
+            FastMemorySystem(mixed)
+
+    # -- targeted streams: every branch of the one-frame kernel ---------------
+    #
+    # Geometry of "IO" (and "O3+EVE-4" apart from its 4-way L2): L1D 128
+    # sets x 4 ways, 16 MSHRs; L2 1024 sets x 8 ways, 8 banks, 32 MSHRs;
+    # LLC 2048 sets x 16 ways, 32 MSHRs.  Lines are numbered, not
+    # addressed: ``_lockstep`` multiplies by the 64-byte line size.
+
+    @staticmethod
+    def _models(system):
+        config = make_system(system)
+        return FastMemorySystem(config), MemorySystem(config)
+
+    @staticmethod
+    def _lockstep(models, steps):
+        """Drive the fast and the reference model with the same
+        ``(now, line, is_store, port)`` steps, asserting every
+        completion equal; returns ``(fast, reference, completions)``."""
+        fast, reference = models
+        completions = []
+        for now, line, store, port in steps:
+            expect = reference.access(now, line * 64, store, port)
+            got = fast.access(now, line * 64, store, port)
+            assert (got.grant, got.done, got.level, got.mshr_stall) == \
+                (expect.grant, expect.done, expect.level,
+                 expect.mshr_stall), (now, line, store, port)
+            completions.append(got)
+        assert fast.level_stats(1.0) == reference.level_stats(1.0)
+        assert (fast.vector_requests, fast.vector_mshr_stall,
+                fast.vector_stalled_requests) == \
+            (reference.vector_requests, reference.vector_mshr_stall,
+             reference.vector_stalled_requests)
+        return fast, reference, completions
+
+    def test_mshr_saturation_on_all_three_pools(self):
+        burst = [(0.0, 10_000 + i, i % 3 == 0, "l1") for i in range(40)]
+        burst += [(5.0, 20_000 + i, False, "l2") for i in range(80)]
+        burst += [(9.0, 30_000 + i, i % 2 == 0, "llc") for i in range(80)]
+        fast, _, _ = self._lockstep(self._models("IO"), burst)
+        for pool in (fast.l1d_mshrs, fast.l2_mshrs, fast.llc_mshrs):
+            assert pool.stalled_acquires > 0, pool.name
+            assert pool.occupancy_hwm == pool.size, pool.name
+        assert fast.vector_stalled_requests > 0
+
+    def test_llc_victim_dirty_in_l2_writes_back_twice(self):
+        victim = 5
+        steps = [(0.0, victim, True, "llc"),    # LLC copy dirty
+                 (200.0, victim, True, "l2")]   # LLC hit, L2 copy dirty
+        # 16 more lines into the victim's LLC set, on the port that does
+        # not touch L2: the victim is the set's oldest entry.
+        steps += [(400.0 + 200.0 * k, victim + k * 2048, False, "llc")
+                  for k in range(1, 17)]
+        fast, _, completions = self._lockstep(self._models("IO"), steps)
+        assert completions[1].level == "llc"
+        assert fast.dram.writebacks == 2
+        assert fast.l2.resident_lines() == (0, 0)
+
+    def test_l1_dirty_victim_absent_from_l2_is_refilled_dirty(self):
+        line = 7
+        steps = [(0.0, line, True, "l1")]       # dirty in L1 only
+        # Push the line out of its L2 set through the L2 port (L1 keeps
+        # its copy: L2 evictions are not inclusive).
+        steps += [(200.0 * k, line + k * 1024, False, "l2")
+                  for k in range(1, 9)]
+        # Then out of its L1 set: the dirty victim misses in L2.
+        steps += [(2000.0 + 200.0 * k, line + k * 128, False, "l1")
+                  for k in range(1, 5)]
+        fast, reference, _ = self._lockstep(self._models("IO"), steps)
+        assert fast.l2.resident_lines() == reference.l2.resident_lines()
+        assert fast.l2.resident_lines()[1] == 1   # the refilled victim
+
+    def test_l2_bank_conflicts_delay_hits_and_misses(self):
+        same_bank = [8, 16, 24, 32]              # line % 8 == 0
+        steps = [(0.0, line, False, "l2") for line in same_bank]
+        steps += [(1000.0, line, False, "l2") for line in same_bank]
+        steps += [(1000.0, 40 + 8 * k, k % 2 == 0, "l2") for k in range(4)]
+        _, _, completions = self._lockstep(self._models("IO"), steps)
+        hits = completions[4:8]
+        assert [c.level for c in hits] == ["l2"] * 4
+        assert [c.mshr_stall for c in hits] == [0.0, 1.0, 2.0, 3.0]
+        # Misses on the same bank queue behind the hits: the bank delay
+        # shows in the MSHR grant time.
+        misses = completions[8:]
+        assert [c.level for c in misses] == ["dram"] * 4
+        assert [c.grant for c in misses] == [1004.0, 1005.0, 1006.0, 1007.0]
+
+    def test_spawn_flush_reissues_freed_ways_in_order(self):
+        from repro.mem.reconfig import spawn_cost
+        models = self._models("O3+EVE-4")
+        lines, stores, ports, gaps = _stream(seed=11, count=1500)
+        steps, now = [], 0.0
+        for line, store, port, gap in zip(lines, stores, ports, gaps):
+            steps.append((now, line // 64, store, port))
+            now += gap + 30.0
+        fast, reference, _ = self._lockstep(models, steps)
+        assert spawn_cost(fast.l2) == spawn_cost(reference.l2)
+        # Refill whole L2 sets through the freed ways, dirty and clean.
+        steps = [(now + 100.0 * k, s + k * 1024, k % 2 == 1, port)
+                 for k in range(1, 7) for s in (3, 700)
+                 for port in ("l1", "l2")]
+        self._lockstep(models, steps)
+        assert fast.l2.resident_lines() == reference.l2.resident_lines()
+
+    def test_inclusive_invalidations_free_l2_ways_in_way_order(self):
+        base = 3
+        # L2 set 3 gets ways 0..7; even k share LLC set 3, odd k share
+        # LLC set 1027.
+        owners = [base + k * 1024 for k in range(8)]
+        steps = [(100.0 * k, line, False, "l2")
+                 for k, line in enumerate(owners)]
+        t = 1000.0
+        # Make way 5's line, then way 2's, the oldest of its LLC set and
+        # evict it: way 5 is freed before way 2.
+        for doomed, llc_set in ((5, base + 1024), (2, base)):
+            for k in range(doomed % 2, 8, 2):
+                if k != doomed:
+                    steps.append((t, owners[k], False, "llc"))
+                    t += 100.0
+            for j in range(4, 17):             # lines no owner uses
+                steps.append((t, llc_set + j * 2048, False, "llc"))
+                t += 100.0
+        # A refill must take way 2 (the first invalid way), not way 5.
+        steps.append((t, base + 9 * 1024, False, "l2"))
+        fast, reference, _ = self._lockstep(self._models("IO"), steps)
+        assert fast.l2.resident_lines() == (7, 0)
+        assert fast.l2.resident_lines(slice(4, 8)) == \
+            reference.l2.resident_lines(slice(4, 8)) == (3, 0)
+
+
+class TestFastCacheArray:
+    """The packed-entry array methods against the numpy reference."""
+
+    def test_lookup_fill_invalidate_match_cache_array(self):
+        from repro.config import CacheConfig
+        from repro.mem.cache import CacheArray
+        from repro.compiler.memengine import FastCacheArray
+        config = CacheConfig("T", 4 * 4 * 64, ways=4, hit_latency=1,
+                             mshrs=1)
+        fast, reference = FastCacheArray(config), CacheArray(config)
+        rng = np.random.default_rng(5)
+        for op, line, flag in zip(rng.integers(0, 3, 3000),
+                                  rng.integers(0, 40, 3000),
+                                  rng.random(3000) < 0.4):
+            addr, flag = int(line) * 64, bool(flag)
+            if op == 0:
+                assert fast.lookup(addr, flag) == reference.lookup(addr, flag)
+            elif op == 1:
+                evicted = reference.fill(addr, dirty=flag)
+                expect = (None if evicted is None
+                          else (evicted.line_addr, evicted.dirty))
+                assert fast.fill_fast(addr, flag) == expect
+            else:
+                assert fast.invalidate(addr) == reference.invalidate(addr)
+            assert fast.resident_lines() == reference.resident_lines()
+        assert fast.stats() == reference.stats()
+        assert fast.flush_ways(slice(2, 4)) == \
+            reference.flush_ways(slice(2, 4))
+        assert fast.resident_lines() == reference.resident_lines()
+
+
+# -- the per-line memory entry point is never bypassed ------------------------
+
+
+def _hoisted_requests(compiled):
+    """Line requests in a compiled trace's hoisted lists (scalar blocks
+    hold one list per access pattern)."""
+    total = 0
+    for entry in compiled.lines.values():
+        if entry and isinstance(entry[0], list):
+            total += sum(len(pattern) for pattern in entry)
+        else:
+            total += len(entry)
+    return total
+
+
+@pytest.mark.parametrize("system",
+                         ["IO", "O3", "O3+IV", "O3+DV", "O3+EVE-4"])
+@pytest.mark.parametrize("workload", ["backprop", "pathfinder"])
+def test_every_hoisted_line_is_one_fast_access_call(system, workload,
+                                                    monkeypatch):
+    """Each hoisted line request reaches ``FastMemorySystem.access``
+    exactly once: the benchmark probe records memory work at that
+    method, so a path that bypassed it would go unmeasured."""
+    from repro.experiments.systems import build_machine
+    machine = build_machine(system)
+    runner = ExperimentRunner(params_override=TINY_PARAMS)
+    trace = runner.trace_for(system, workload)
+    compiled = compile_trace(trace)
+    calls = []
+    original = FastMemorySystem.access
+
+    def counting(mem, now, line_addr, is_store, port="l1"):
+        calls.append(line_addr)
+        return original(mem, now, line_addr, is_store, port)
+
+    monkeypatch.setattr(FastMemorySystem, "access", counting)
+    machine.run(trace, compiled=compiled)
+    assert isinstance(machine.mem, FastMemorySystem)
+    assert len(calls) == _hoisted_requests(compiled) > 0
+
 
 # -- satellite 2: compiled and uncompiled results never collide ---------------
 

@@ -149,6 +149,19 @@ class TestDiffRecords:
         assert doc["counts"]["regressed"] == 1
         assert doc["entries"][0]["name"] == "results.IO.vvadd.cycles"
 
+    def test_json_report_says_whether_the_model_code_matched(self):
+        a, b = sample_record(), sample_record()
+        doc = diff_records(a, b).to_json_dict()
+        assert doc["source_match"] is True
+        assert doc["baseline"]["source"] == a.source_fingerprint
+        b.source_fingerprint = "0" * 64
+        doc = diff_records(a, b).to_json_dict()
+        assert doc["source_match"] is False
+        assert doc["fingerprint_match"] is True
+        # A record from before the field existed cannot say.
+        a.source_fingerprint = ""
+        assert diff_records(a, b).to_json_dict()["source_match"] is None
+
 
 class TestDiffCli:
     """Acceptance: ``repro diff`` exit codes on injected regressions."""

@@ -89,6 +89,25 @@ class TestRunRecord:
         assert record.config_fingerprint
         assert record.git["sha"]
 
+    def test_make_record_stamps_the_model_source_apart_from_identity(
+            self, monkeypatch):
+        from repro.experiments import parallel
+        record = make_record("bench", label="tiny")
+        assert record.source_fingerprint == parallel.source_fingerprint()
+        # Edited model code changes the source stamp, never the
+        # experiment identity.
+        monkeypatch.setattr(parallel, "_SOURCE_FP", "0" * 64)
+        edited = make_record("bench", label="tiny")
+        assert edited.source_fingerprint == "0" * 64
+        assert edited.config_fingerprint == record.config_fingerprint
+
+    def test_records_without_a_source_fingerprint_still_load(self):
+        doc = sample_record().to_json_dict()
+        del doc["source_fingerprint"]
+        back = RunRecord.from_json_dict(json.loads(json.dumps(doc)))
+        assert back.source_fingerprint == ""
+        assert back.results == sample_record().results
+
 
 class TestFlatten:
     def test_key_families(self):
