@@ -53,7 +53,7 @@ import tempfile
 import time
 
 from repro.analysis import check_trace
-from repro.experiments import ExperimentRunner, ParallelRunner, sweep_pairs
+from repro.experiments import ExperimentRunner, sweep_pairs
 from repro.experiments.systems import build_machine
 from repro.obs import AttributionCollector
 from repro.obs.runstore import DEFAULT_ROOT, RunStore, make_record
@@ -243,7 +243,7 @@ def time_telemetry(full: bool):
 def time_sweep(full: bool, jobs: int):
     """Wall-clock the full systems x workloads sweep three ways.
 
-    Serial (the pre-parallel baseline), fanned out over ``jobs`` worker
+    Serial and uncached (the baseline), fanned out over ``jobs`` worker
     processes with a cold cell cache, and a warm re-run against the
     cache the parallel leg just populated — so CI tracks both the
     parallelism speedup and the repeat-invocation cache speedup
@@ -252,15 +252,15 @@ def time_sweep(full: bool, jobs: int):
     """
     override = None if full else _tiny_override()
     pairs = sweep_pairs()
-    serial = ExperimentRunner(params_override=override)
+    serial = ExperimentRunner(params_override=override, cache_root=None)
     start = time.perf_counter()
     serial.prefetch(pairs)
     serial_seconds = time.perf_counter() - start
 
     cache_dir = tempfile.mkdtemp(prefix="eve-bench-cache-")
     try:
-        cold = ParallelRunner(params_override=override, jobs=jobs,
-                              cache_root=cache_dir)
+        cold = ExperimentRunner(params_override=override, jobs=jobs,
+                                cache_root=cache_dir)
         start = time.perf_counter()
         cold.prefetch(pairs)
         parallel_seconds = time.perf_counter() - start
@@ -268,8 +268,8 @@ def time_sweep(full: bool, jobs: int):
             serial.run(s, w).cycles == cold.run(s, w).cycles
             for s, w in pairs)
 
-        warm = ParallelRunner(params_override=override, jobs=jobs,
-                              cache_root=cache_dir)
+        warm = ExperimentRunner(params_override=override, jobs=jobs,
+                                cache_root=cache_dir)
         start = time.perf_counter()
         warm.prefetch(pairs)
         warm_seconds = time.perf_counter() - start
@@ -370,7 +370,7 @@ def main(argv=None) -> int:
     telemetry = time_telemetry(args.full)
     record.extra["telemetry_overhead"] = telemetry
     if not args.skip_sweep:
-        sweep = time_sweep(args.full, args.jobs or None)
+        sweep = time_sweep(args.full, args.jobs)
         record.extra["sweep"] = sweep
     bench = record.extra["bench_workloads"]
     width = max(len(name) for name in bench)

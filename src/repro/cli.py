@@ -95,12 +95,13 @@ test-sized problem inputs.  ``run`` / ``compare`` / ``stats`` accept
 ``--record`` (archive the run into the run store) and ``--baseline REF``
 (diff the fresh run against a stored record or golden-baseline file).
 ``compare`` / ``sweep`` / ``scorecard`` accept ``--jobs N`` to fan the
-(system, workload) cells out over N worker processes backed by the
-on-disk cell cache (``--cache-dir`` / ``--no-cache``); results are
-bit-identical to a serial run.  ``run`` / ``compare`` / ``sweep`` accept
-``--seed N`` to vary the generated workload inputs; the seed is folded
-into cache keys and record fingerprints so seeded runs never collide
-with the default-seed results.  ``sweep`` / ``compare`` / ``fuzz`` /
+(system, workload) cells out over N worker processes, and use the
+on-disk cell cache (``--cache-dir`` / ``--no-cache``) at any ``--jobs``;
+results are bit-identical to a serial, uncached run.  ``run`` /
+``compare`` / ``sweep`` accept ``--seed N`` to vary the generated
+workload inputs; the seed is folded into cache keys and record
+fingerprints so seeded runs never collide with the default-seed
+results.  ``sweep`` / ``compare`` / ``fuzz`` /
 ``faults`` accept ``--events [FILE]`` (append the campaign's lifecycle
 events to a JSONL log), ``--progress`` (force the live progress line
 even without a TTY), and ``--quiet`` (suppress it); telemetry never
@@ -120,7 +121,7 @@ from . import __version__
 from .compiler import compiler_descriptor
 from .config import all_system_names
 from .errors import MicroProgramError, ReproError, RunStoreError
-from .experiments import (ExperimentRunner, ParallelRunner, format_table,
+from .experiments import (ExperimentRunner, format_table,
                           sweep_result_payload)
 from .experiments.figures import ALL_APPS, area_table, figure2, table3
 from .experiments.parallel import (DEFAULT_CACHE_ROOT, cache_stats,
@@ -152,20 +153,15 @@ def _make_runner(args, collect_metrics: bool = False,
     seed = getattr(args, "seed", None)
     if seed is None:
         seed = DEFAULT_SEED
-    telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-    compile_traces = getattr(args, "compile", True)
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None and jobs != 1:
-        cache_root = (None if getattr(args, "no_cache", False)
-                      else getattr(args, "cache_dir", DEFAULT_CACHE_ROOT))
-        return ParallelRunner(params_override=override, jobs=jobs or None,
-                              cache_root=cache_root,
-                              collect_metrics=collect_metrics, seed=seed,
-                              telemetry=telemetry,
-                              compile_traces=compile_traces)
-    return ExperimentRunner(params_override=override, seed=seed,
-                            telemetry=telemetry,
-                            compile_traces=compile_traces)
+    # Verbs without --cache-dir (run, trace, stats, ...) stay uncached.
+    cache_root = (None if getattr(args, "no_cache", False)
+                  else getattr(args, "cache_dir", None))
+    return ExperimentRunner(
+        params_override=override, seed=seed,
+        telemetry=telemetry if telemetry is not None else NULL_TELEMETRY,
+        compile_traces=getattr(args, "compile", True),
+        jobs=getattr(args, "jobs", 1), cache_root=cache_root,
+        collect_metrics=collect_metrics)
 
 
 def _make_telemetry(args, kind: str) -> Optional[CampaignTelemetry]:
@@ -227,20 +223,15 @@ def _fingerprint_extra(runner: ExperimentRunner):
     return extra or None
 
 
-def _prefetch(runner: ExperimentRunner, pairs) -> None:
-    """Fan the cells out before the (serial) reporting loops run.
-
-    The parallel runner always prefetches here; the serial runner only
-    does when campaign telemetry is attached (prefetching is what emits
-    the per-cell events) and otherwise simulates lazily inside the
-    harnesses exactly as before.
-    """
-    if isinstance(runner, ParallelRunner) or runner.telemetry.enabled:
-        stats = runner.prefetch(pairs)
-        print(f"sweep: {stats['cells']} cells ({stats['simulated']} "
-              f"simulated, {stats['cached']} cached) with "
-              f"{stats['jobs']} worker(s) in {stats['seconds']:.2f}s",
-              file=sys.stderr)
+def _prefetch(runner: ExperimentRunner, pairs) -> dict:
+    """Produce every cell before the (serial) reporting loops run, and
+    report the tally on stderr."""
+    stats = runner.prefetch(pairs)
+    print(f"sweep: {stats['cells']} cells ({stats['simulated']} "
+          f"simulated, {stats['cached']} cached) with "
+          f"{stats['jobs']} worker(s) in {stats['seconds']:.2f}s",
+          file=sys.stderr)
+    return stats
 
 
 def _recording(args) -> bool:
@@ -373,27 +364,16 @@ def _cmd_compare(args) -> int:
             fingerprint_extra=_fingerprint_extra(runner))
         record.speedup_baseline = "IO"
     for system in all_system_names():
-        flat = snapshot = None
-        prefetched = (runner.cell_metrics(system, args.workload)
-                      if want_metrics else None)
-        if prefetched is not None:
-            # A sweep worker already captured this cell's registry;
-            # reuse it instead of re-simulating with instrumentation.
-            flat, snapshot = prefetched
-            result = runner.run(system, args.workload)
-        else:
-            metrics = MetricsRegistry() if want_metrics else None
-            result = runner.run(system, args.workload, metrics=metrics)
-            if metrics is not None:
-                flat, snapshot = metrics.flat(), metrics.snapshot()
+        result = runner.run(system, args.workload)
+        captured = runner.cell_metrics(system, args.workload)
         speedup = base.time_ns / result.time_ns
         rows.append([system, result.cycles, result.time_ns / 1e3, speedup])
         entry = result.to_json_dict()
         entry.pop("metrics", None)
         entry["speedup_vs_IO"] = speedup
         per_system[system] = entry
-        if snapshot is not None:
-            metrics_out[system] = snapshot
+        if captured is not None:
+            flat, metrics_out[system] = captured
             for name, value in flat.items():
                 metrics_flat[f"{system}.{name}"] = value
         if record is not None:
@@ -423,15 +403,6 @@ def _cmd_compare(args) -> int:
     return _finish_record(args, record)
 
 
-def _sweep_cache_stats(stats) -> dict:
-    """The sweep's explicit cache telemetry: disk hit/miss/corrupt for
-    the parallel executor, warm/cold in-memory counts for the serial
-    runner (which has no disk cache)."""
-    return {"hits": stats.get("cache_hits", stats["cached"]),
-            "misses": stats.get("cache_misses", stats["simulated"]),
-            "corrupt": stats.get("cache_corrupt", 0)}
-
-
 def _cmd_sweep(args) -> int:
     telemetry = _make_telemetry(args, "sweep")
     runner = _make_runner(args, telemetry=telemetry)
@@ -439,13 +410,12 @@ def _cmd_sweep(args) -> int:
     workloads = args.workloads or sorted(REGISTRY)
     pairs = sweep_pairs(systems, workloads)
     try:
-        stats = runner.prefetch(pairs)
+        stats = _prefetch(runner, pairs)
     finally:
         _finalize_telemetry(telemetry)
-    print(f"sweep: {stats['cells']} cells ({stats['simulated']} simulated, "
-          f"{stats['cached']} cached) with {stats['jobs']} worker(s) in "
-          f"{stats['seconds']:.2f}s", file=sys.stderr)
-    disk_cache = _sweep_cache_stats(stats)
+    disk_cache = {"hits": stats["cache_hits"],
+                  "misses": stats["cache_misses"],
+                  "corrupt": stats["cache_corrupt"]}
     if disk_cache["corrupt"]:
         print(f"sweep cache: {disk_cache['corrupt']} corrupt entr(y/ies) "
               f"quarantined (*.corrupt) and re-simulated", file=sys.stderr)
@@ -487,7 +457,7 @@ def _cmd_sweep(args) -> int:
         record.extra["sweep"] = {k: stats[k] for k in
                                  ("cells", "simulated", "cached", "jobs",
                                   "seconds", "cache_hits", "cache_misses",
-                                  "cache_corrupt") if k in stats}
+                                  "cache_corrupt")}
     return _finish_record(args, record)
 
 
@@ -1169,15 +1139,24 @@ def _cmd_cache(args) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    """argparse type of ``--jobs``: a non-negative worker count."""
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be 0 (all CPUs) or a positive count, got {count}")
+    return count
+
+
 def _add_jobs_arguments(sub) -> None:
-    sub.add_argument("--jobs", type=int, default=1, metavar="N",
+    sub.add_argument("--jobs", type=_worker_count, default=1, metavar="N",
                      help="simulate (system, workload) cells on N worker "
                           "processes (0 = all CPUs; default: 1, serial)")
     sub.add_argument("--no-cache", action="store_true",
                      help="disable the on-disk trace/result cell cache")
     sub.add_argument("--cache-dir", default=DEFAULT_CACHE_ROOT, metavar="DIR",
-                     help=f"cell-cache directory used by the parallel "
-                          f"executor (default: {DEFAULT_CACHE_ROOT})")
+                     help=f"cell-cache directory, used at any --jobs "
+                          f"(default: {DEFAULT_CACHE_ROOT})")
 
 
 def _add_record_arguments(sub) -> None:
@@ -1508,7 +1487,7 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=list(EVE_FACTORS), metavar="N",
                         help="segment widths to round-robin over "
                              "(default: all six)")
-    faults.add_argument("--jobs", type=int, default=1, metavar="N",
+    faults.add_argument("--jobs", type=_worker_count, default=1, metavar="N",
                         help="fan injections out over N worker processes "
                              "(default: 1, serial)")
     faults.add_argument("--json", action="store_true",

@@ -1,20 +1,14 @@
-"""Process-pool sweep executor with a crash-safe on-disk cell cache.
+"""The on-disk cell cache and the process-pool fan-out behind every sweep.
 
-The paper's headline results are a full cross-product of ~11 systems x
-7 workloads that :class:`~repro.experiments.runner.ExperimentRunner`
-simulates strictly serially.  This module fans the (system, workload)
-cells out over ``multiprocessing`` workers and merges the outcomes back
-into the ordinary runner caches, so every downstream consumer (the
-figure harnesses, the scorecard, ``repro compare``) sees exactly the
-results a serial run would have produced — the simulator is
-deterministic, and the merge is performed in input order regardless of
-which worker finished first.
-
-Two layers make repeat invocations cheap and workers independent:
+:class:`~repro.experiments.runner.ExperimentRunner` produces each
+(system, workload) cell through one method and maps it over a cell list
+with :func:`fan_out` — in-process for ``jobs == 1``, over
+``multiprocessing`` workers otherwise.  This module holds the two pieces
+that path shares with the fault-injection campaign and ``repro cache``:
 
 * a **trace cache** keyed by ``(workload, vlmax, params-fingerprint)``
-  — EVE-1/2/4 all decode the same VL=2048 trace, so the first worker to
-  build it publishes it (atomic ``os.replace``) and the rest load the
+  — EVE-1/2/4 all decode the same VL=2048 trace, so the first process
+  to build it publishes it (atomic ``os.replace``) and the rest load the
   pickle instead of re-running the workload kernel;
 * a **result cache** keyed by ``(system, workload, params-fingerprint,
   config-fingerprint)`` — the config fingerprint digests every Table
@@ -26,11 +20,11 @@ Both keys fold in the params fingerprint, which carries a digest of the
 package's own source (:func:`source_fingerprint`): any edit to the model
 code misses every entry a previous version published.
 
-Both caches are advisory: deleting ``.eve-cache/`` (or passing
-``cache_root=None``) simply re-simulates.  Writes go to a unique temp
-file followed by ``os.replace``, so a crashed worker can never publish
-a torn pickle; concurrent builders of the same key both publish
-identical content and the last rename wins.
+Both caches are advisory and used only when the runner is given a
+``cache_root``: deleting ``.eve-cache/`` simply re-simulates.  Writes go
+to a unique temp file followed by ``os.replace``, so a crashed worker
+can never publish a torn pickle; concurrent builders of the same key
+both publish identical content and the last rename wins.
 """
 
 from __future__ import annotations
@@ -46,12 +40,9 @@ import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..config import all_system_names
-from ..obs.events import NULL_TELEMETRY, TelemetryMonitor
-from ..obs.metrics import MetricsRegistry
 from ..obs.selfprof import SelfProfiler
 from ..workloads import DEFAULT_SEED, REGISTRY, canonical_workload, get_workload
-from .runner import ExperimentRunner, canonical_pairs, strict_check_enabled
-from .systems import build_machine, canonical_system, trace_vlmax
+from .systems import canonical_system
 
 #: Default on-disk cache directory (sibling of ``.eve-runs/``).
 DEFAULT_CACHE_ROOT = ".eve-cache"
@@ -212,10 +203,6 @@ class CellCache:
             pass
         return target
 
-    def load(self, path: str):
-        """Back-compat load: any unreadable entry is simply a miss."""
-        return self.load_entry(path)[0]
-
     def store(self, path: str, obj) -> None:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = f"{path}.{os.getpid()}.{id(obj):x}.tmp"
@@ -355,7 +342,7 @@ def fan_out(func: Callable, specs: Sequence, jobs: int,
             phase: str = "fan_out", monitor=None) -> List:
     """Map a picklable ``func`` over ``specs`` with a process pool.
 
-    The shared executor behind :meth:`ParallelRunner.prefetch` and the
+    The shared executor behind :meth:`ExperimentRunner.prefetch` and the
     fault-injection campaign runner: results come back in *input* order
     (never completion order), ``jobs=1`` or a single spec runs in-process
     with no pool, and ``chunksize=1`` deals work finely because specs can
@@ -416,113 +403,7 @@ def fan_out(func: Callable, specs: Sequence, jobs: int,
     return [obs["value"] for obs in observed]
 
 
-# -- the worker ----------------------------------------------------------------
-
-def simulate_cell(spec: tuple) -> Dict[str, object]:
-    """Simulate one (system, workload) cell; runs inside a pool worker.
-
-    ``spec`` is a picklable tuple ``(system, workload, params_override,
-    cache_root, collect_metrics, verify[, seed[, compile]])`` — the
-    trailing seed defaults to :data:`~repro.workloads.DEFAULT_SEED` and
-    the trailing compile flag to ``True``, so pre-existing shorter specs
-    keep working.  Returns the
-    :class:`~repro.cores.result.SimResult` plus the worker's
-    self-profiler phases and (optionally) its metrics-registry snapshot,
-    all picklable for the parent-side merge.
-    """
-    system, workload, params_override, cache_root, collect_metrics, \
-        verify = spec[:6]
-    seed = spec[6] if len(spec) > 6 else DEFAULT_SEED
-    compile_traces = spec[7] if len(spec) > 7 else True
-    system = canonical_system(system)
-    workload = canonical_workload(workload)
-    profiler = SelfProfiler()
-    cache = CellCache(cache_root) if cache_root else None
-    from ..compiler import compiler_descriptor
-    # Instrumented cells always run the reference interpreter, so their
-    # cells carry no compiler descriptor either way.
-    use_compiler = compile_traces and not collect_metrics
-    trace_fp = params_fingerprint(workload, params_override, seed=seed)
-    params_fp = params_fingerprint(
-        workload, params_override, seed=seed,
-        compiler=compiler_descriptor(use_compiler))
-    config_fp = sweep_config_fingerprint()
-
-    # Cache telemetry for this cell: entry statuses plus the quarantined
-    # paths of any corrupt pickles (merged parent-side into per-sweep
-    # hit/miss/corrupt counters and ``cache_corrupt`` events).
-    cache_info: Dict[str, object] = {"result": None, "trace": None,
-                                     "corrupt_paths": []}
-    cached = None
-    if cache is not None:
-        result_path = cache.result_path(system, workload, params_fp,
-                                        config_fp,
-                                        instrumented=collect_metrics)
-        cached, status = cache.load_entry(result_path)
-        cache_info["result"] = status
-        if status == "corrupt":
-            cache_info["corrupt_paths"].append(result_path)
-    if cached is not None:
-        cached.update({"system": system, "workload": workload,
-                       "cached": True, "profile": profiler.as_dict(),
-                       "cache": cache_info})
-        return cached
-
-    metrics = MetricsRegistry() if collect_metrics else None
-    machine = build_machine(system, metrics=metrics)
-    vlmax = trace_vlmax(machine.config)
-    trace = None
-    trace_path = None
-    if cache is not None:
-        # Traces are compiler-independent, so the trace cache keys on the
-        # bare params fingerprint and stays shared across compile modes.
-        trace_path = cache.trace_path(workload, vlmax, trace_fp)
-        trace, status = cache.load_entry(trace_path)
-        cache_info["trace"] = status
-        if status == "corrupt":
-            cache_info["corrupt_paths"].append(trace_path)
-    if trace is None:
-        wl = get_workload(workload)
-        params = (params_override or {}).get(workload)
-        with profiler.phase("trace_build"):
-            if vlmax == 0:
-                trace = wl.scalar_trace(params)
-            else:
-                trace = wl.vector_trace(vlmax, params, verify=verify,
-                                        seed=seed)
-                if strict_check_enabled():
-                    from ..analysis import require_clean
-                    require_clean(trace,
-                                  context=f"strict check, vlmax={vlmax}")
-        if trace_path is not None:
-            cache.store(trace_path, trace)
-    compiled = None
-    if use_compiler:
-        from ..compiler import CompilerConfig, compile_trace
-        with profiler.phase("compile"):
-            compiled = compile_trace(
-                trace, CompilerConfig(strict=strict_check_enabled()))
-    with profiler.phase(f"sim:{system}"):
-        result = machine.run(trace, compiled=compiled)
-
-    payload: Dict[str, object] = {
-        "result": result,
-        "metrics_flat": metrics.flat() if metrics is not None else None,
-        "metrics_snapshot": (metrics.snapshot()
-                             if metrics is not None else None),
-    }
-    if cache is not None:
-        cache.store(cache.result_path(system, workload, params_fp,
-                                      config_fp,
-                                      instrumented=collect_metrics),
-                    dict(payload))
-    payload.update({"system": system, "workload": workload,
-                    "cached": False, "profile": profiler.as_dict(),
-                    "cache": cache_info})
-    return payload
-
-
-# -- the executor --------------------------------------------------------------
+# -- sweep cells ---------------------------------------------------------------
 
 def sweep_pairs(systems: Optional[Iterable[str]] = None,
                 workloads: Optional[Iterable[str]] = None
@@ -536,108 +417,3 @@ def sweep_pairs(systems: Optional[Iterable[str]] = None,
     workloads = [canonical_workload(w)
                  for w in (workloads or sorted(REGISTRY))]
     return [(s, w) for w in workloads for s in systems]
-
-
-def cell_unit(system: str, workload: str) -> str:
-    """The telemetry unit id for one sweep cell."""
-    return f"{system}/{workload}"
-
-
-def describe_cell(payload: Dict[str, object]):
-    """Telemetry view of one :func:`simulate_cell` payload:
-    ``(cached, extra_events, detail)`` for
-    :meth:`repro.obs.events.CampaignTelemetry.unit_finished`."""
-    cache_info = payload.get("cache") or {}
-    extra = tuple(("cache_corrupt", {"path": path})
-                  for path in cache_info.get("corrupt_paths", ()))
-    result = payload.get("result")
-    detail = {"system": payload.get("system"),
-              "workload": payload.get("workload")}
-    cycles = getattr(result, "cycles", None)
-    if isinstance(cycles, (int, float)):
-        detail["cycles"] = cycles
-    return bool(payload.get("cached")), extra, detail
-
-
-class ParallelRunner(ExperimentRunner):
-    """An :class:`ExperimentRunner` whose cells can be prefetched by a
-    process pool.
-
-    :meth:`prefetch` fans the requested cells out over ``jobs`` workers
-    and merges the returned results into the ordinary ``_results``
-    cache, so subsequent :meth:`run` calls (the figure harnesses, the
-    scorecard, speedup columns) hit warm entries and produce output
-    byte-identical to a serial run.  With ``jobs=1`` the cells execute
-    in-process through the same worker function, so the disk cache
-    still applies but no pool is spawned.
-    """
-
-    def __init__(self, params_override: Optional[Dict[str, dict]] = None,
-                 verify: bool = True,
-                 profiler: Optional[SelfProfiler] = None,
-                 jobs: Optional[int] = None,
-                 cache_root: Optional[str] = DEFAULT_CACHE_ROOT,
-                 collect_metrics: bool = False,
-                 seed: int = DEFAULT_SEED,
-                 telemetry=NULL_TELEMETRY,
-                 compile_traces: bool = True) -> None:
-        super().__init__(params_override=params_override, verify=verify,
-                         profiler=profiler, seed=seed, telemetry=telemetry,
-                         compile_traces=compile_traces)
-        self.jobs = max(1, jobs if jobs is not None
-                        else (os.cpu_count() or 1))
-        self.cache_root = cache_root
-        self.collect_metrics = collect_metrics
-        self._prefetched_metrics: Dict[Tuple[str, str], tuple] = {}
-
-    def cell_metrics(self, system_name: str, workload_name: str):
-        return self._prefetched_metrics.get(
-            (canonical_system(system_name),
-             canonical_workload(workload_name)))
-
-    def prefetch(self, pairs: Sequence[Tuple[str, str]]
-                 ) -> Dict[str, object]:
-        """Simulate every requested cell, fanned out over the pool.
-
-        Returns ``{"cells", "simulated", "cached", "jobs", "seconds"}``.
-        Results are merged parent-side in input order (never completion
-        order) and worker self-profiler phases are absorbed under a
-        ``worker:`` namespace, so repeated prefetches are deterministic.
-        """
-        ordered: List[Tuple[str, str]] = canonical_pairs(pairs)
-        todo = [key for key in ordered if key not in self._results]
-        specs = [(system, workload, self.params_override, self.cache_root,
-                  self.collect_metrics, self.verify, self.seed,
-                  self.compile_traces)
-                 for system, workload in todo]
-        start = time.perf_counter()
-        if not specs:
-            return {"cells": len(ordered), "simulated": 0, "cached": 0,
-                    "jobs": self.jobs, "seconds": 0.0,
-                    "cache_hits": 0, "cache_misses": 0, "cache_corrupt": 0}
-        monitor = None
-        if self.telemetry.enabled:
-            units = [cell_unit(system, workload) for system, workload in todo]
-            self.telemetry.begin(units)
-            monitor = TelemetryMonitor(self.telemetry, units,
-                                       describe=describe_cell,
-                                       jobs=self.jobs)
-        outs = fan_out(simulate_cell, specs, self.jobs,
-                       profiler=self.profiler, phase="sweep",
-                       monitor=monitor)
-        cached = corrupt = 0
-        for out in outs:  # input order: the merge is deterministic
-            key = (out["system"], out["workload"])
-            self._results[key] = out["result"]
-            if out["metrics_flat"] is not None:
-                self._prefetched_metrics[key] = (out["metrics_flat"],
-                                                 out["metrics_snapshot"])
-            cached += bool(out["cached"])
-            corrupt += len((out.get("cache") or {}).get("corrupt_paths", ()))
-            self.profiler.absorb(out["profile"], prefix="worker:")
-        return {"cells": len(ordered), "simulated": len(specs) - cached,
-                "cached": cached, "jobs": self.jobs,
-                "seconds": time.perf_counter() - start,
-                "cache_hits": cached,
-                "cache_misses": len(specs) - cached,
-                "cache_corrupt": corrupt}

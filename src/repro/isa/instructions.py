@@ -9,7 +9,8 @@ requests; this keeps traces small while driving a real cache simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,6 +21,20 @@ from .opcodes import Category, OpInfo, opinfo
 LINE_BYTES = 64
 
 
+def _pickle_by_fields(cls):
+    """Pickle ``cls`` instances as ``cls(*field values)``.
+
+    The default reduction reads each instance's ``__dict__``, which on
+    CPython 3.11+ materialises a dict the event then keeps for the rest
+    of its life, so publishing a trace to the cell cache would grow the
+    memory of every later simulation over it.
+    """
+    values = operator.attrgetter(*(f.name for f in fields(cls)))
+    cls.__reduce__ = lambda self: (cls, values(self))
+    return cls
+
+
+@_pickle_by_fields
 @dataclass(frozen=True)
 class MemAccess:
     """A compact description of the addresses one instruction touches.
@@ -71,6 +86,7 @@ class MemAccess:
         return self.num_accesses * self.elem_bytes
 
 
+@_pickle_by_fields
 @dataclass(frozen=True)
 class VectorInstr:
     """One dynamic vector instruction in a trace."""
@@ -138,6 +154,7 @@ class VectorInstr:
         return tuple(regs)
 
 
+@_pickle_by_fields
 @dataclass(frozen=True)
 class ScalarBlock:
     """A block of scalar instructions between vector instructions.

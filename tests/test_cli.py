@@ -205,7 +205,8 @@ class TestObservabilityCommands:
 
     def test_compare_json(self, capsys):
         import json
-        assert main(["compare", "vvadd", "--tiny", "--json"]) == 0
+        assert main(["compare", "vvadd", "--tiny", "--no-cache",
+                     "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["baseline"] == "IO"
         assert "O3+EVE-4" in payload["systems"]

@@ -34,7 +34,7 @@ from repro.compiler.passes import DceResult
 from repro.config import make_system
 from repro.errors import CompilerError, MemoryModelError
 from repro.experiments import ExperimentRunner
-from repro.experiments.parallel import params_fingerprint, simulate_cell
+from repro.experiments.parallel import params_fingerprint
 from repro.faults import fuzz
 from repro.faults.fuzz import (FUZZ_WIDTHS, compare_runs, generate_case,
                                run_dut, run_oracle)
@@ -547,25 +547,26 @@ class TestCacheDistinctness:
         assert compiled == params_fingerprint(
             "vvadd", TINY_PARAMS, compiler=compiler_descriptor(True))
 
-    def test_simulate_cell_keeps_compile_modes_cache_distinct(self, tmp_path):
+    def test_compile_modes_keep_cache_distinct(self, tmp_path):
         root = str(tmp_path / "cache")
 
-        def spec(compile_traces):
-            return ("IO", "vvadd", TINY_PARAMS, root, False, False,
-                    20230225, compile_traces)
+        def cell(compile_traces):
+            return ExperimentRunner(
+                params_override=TINY_PARAMS, verify=False, cache_root=root,
+                compile_traces=compile_traces).cell("IO", "vvadd")
 
-        compiled = simulate_cell(spec(True))
+        compiled = cell(True)
         assert compiled["cache"]["result"] == "miss"
         # The uncompiled run must MISS the compiled run's cache entry.
-        interpreted = simulate_cell(spec(False))
+        interpreted = cell(False)
         assert interpreted["cache"]["result"] == "miss"
         # ... while sharing the compiler-independent trace pickle.
         assert interpreted["cache"]["trace"] == "hit"
         assert interpreted["result"].cycles == compiled["result"].cycles
         # Each mode hits its own entry on re-run; the trace pickle is
         # shared (traces are compiler-independent).
-        assert simulate_cell(spec(True))["cached"] is True
-        assert simulate_cell(spec(False))["cached"] is True
+        assert cell(True)["cached"] is True
+        assert cell(False)["cached"] is True
         results = glob.glob(os.path.join(root, "results", "**", "*.pkl"),
                             recursive=True)
         traces = glob.glob(os.path.join(root, "traces", "*.pkl"))

@@ -9,7 +9,7 @@ import os
 import pytest
 
 from repro.errors import EventLogError
-from repro.experiments import ExperimentRunner, ParallelRunner
+from repro.experiments import ExperimentRunner
 from repro.obs.events import (CAMPAIGN_UNIT, CampaignTelemetry, Event,
                               EventLog, LIVE_EVENTS, TERMINAL_EVENTS,
                               TelemetryMonitor, Watchdog,
@@ -318,12 +318,9 @@ class TestTelemetryMonitor:
 def _sweep_events(tmp_path, jobs, name):
     log = EventLog(str(tmp_path / f"{name}.jsonl"))
     hub = CampaignTelemetry("sweep", log=log, campaign_id=name)
-    if jobs == 1:
-        runner = ExperimentRunner(params_override=TINY_PARAMS, telemetry=hub)
-    else:
-        runner = ParallelRunner(params_override=TINY_PARAMS, jobs=jobs,
-                                cache_root=str(tmp_path / f"cache-{name}"),
-                                telemetry=hub)
+    runner = ExperimentRunner(params_override=TINY_PARAMS, jobs=jobs,
+                              cache_root=str(tmp_path / f"cache-{name}"),
+                              telemetry=hub)
     stats = runner.prefetch(PAIRS)
     hub.finalize()
     return stats, log.read()
@@ -348,12 +345,12 @@ class TestSweepTelemetry:
         assert deterministic(serial) == deterministic(pooled)
 
     def test_results_identical_with_and_without_telemetry(self, tmp_path):
-        bare = ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                              cache_root=str(tmp_path / "cache-bare"))
+        bare = ExperimentRunner(params_override=TINY_PARAMS, jobs=2,
+                                cache_root=str(tmp_path / "cache-bare"))
         bare.prefetch(PAIRS)
         _, _ = _sweep_events(tmp_path, 2, "pool")
-        observed = ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                                  cache_root=str(tmp_path / "cache-pool"))
+        observed = ExperimentRunner(params_override=TINY_PARAMS, jobs=2,
+                                    cache_root=str(tmp_path / "cache-pool"))
         # Re-run over the observed run's cache: cycles must agree with
         # the never-instrumented sweep bit-for-bit.
         assert {(s, w): bare.run(s, w).cycles for s, w in PAIRS} == \
@@ -362,11 +359,11 @@ class TestSweepTelemetry:
     def test_cache_hits_emit_cache_hit_events(self, tmp_path):
         log = EventLog(str(tmp_path / "warm.jsonl"))
         root = str(tmp_path / "cache")
-        ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                       cache_root=root).prefetch(PAIRS)
+        ExperimentRunner(params_override=TINY_PARAMS, jobs=2,
+                         cache_root=root).prefetch(PAIRS)
         hub = CampaignTelemetry("sweep", log=log, campaign_id="warm")
-        runner = ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                                cache_root=root, telemetry=hub)
+        runner = ExperimentRunner(params_override=TINY_PARAMS, jobs=2,
+                                  cache_root=root, telemetry=hub)
         stats = runner.prefetch(PAIRS)
         hub.finalize()
         assert stats["cache_hits"] == len(PAIRS)
@@ -377,8 +374,8 @@ class TestSweepTelemetry:
 
     def test_corrupt_cache_entry_quarantined_and_reported(self, tmp_path):
         root = str(tmp_path / "cache")
-        ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                       cache_root=root).prefetch(PAIRS)
+        ExperimentRunner(params_override=TINY_PARAMS, jobs=2,
+                         cache_root=root).prefetch(PAIRS)
         # Smash every cached cell result.
         corrupted = []
         for dirpath, _, names in os.walk(os.path.join(root, "results")):
@@ -390,8 +387,8 @@ class TestSweepTelemetry:
         assert corrupted
         log = EventLog(str(tmp_path / "corrupt.jsonl"))
         hub = CampaignTelemetry("sweep", log=log, campaign_id="corrupt")
-        runner = ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                                cache_root=root, telemetry=hub)
+        runner = ExperimentRunner(params_override=TINY_PARAMS, jobs=2,
+                                  cache_root=root, telemetry=hub)
         stats = runner.prefetch(PAIRS)
         hub.finalize()
         assert stats["cache_corrupt"] == len(corrupted)

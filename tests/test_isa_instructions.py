@@ -1,5 +1,7 @@
 """Tests for trace events: MemAccess patterns, VectorInstr, ScalarBlock."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,30 @@ class TestScalarBlock:
     def test_negative_size_rejected(self):
         with pytest.raises(IsaError):
             ScalarBlock(n_instr=-1)
+
+
+class TestPickling:
+    def test_events_round_trip_by_field_values(self):
+        gather = MemAccess(addresses=np.array([8, 0, 64], dtype=np.int64))
+        events = [
+            VectorInstr(op="vle32", vl=16, vd=1,
+                        mem=MemAccess(base=0x1000, stride=4, count=16)),
+            VectorInstr(op="vluxei32", vl=3, vd=2, vidx=3, masked=True,
+                        mem=gather),
+            ScalarBlock(n_instr=7, accesses=(
+                MemAccess(base=0x200, stride=4, count=2, is_store=True),)),
+        ]
+        loaded = pickle.loads(pickle.dumps(events))
+        assert [type(e) for e in loaded] == [type(e) for e in events]
+        assert loaded[0] == events[0]
+        assert loaded[2] == events[2]
+        assert loaded[1].vidx == 3 and loaded[1].masked
+        assert np.array_equal(loaded[1].mem.addresses, gather.addresses)
+
+    def test_reduction_rebuilds_from_field_values(self):
+        instr = VectorInstr(op="vadd", vl=8, vd=1, vs1=2, vs2=3)
+        cls, values = instr.__reduce__()
+        assert cls is VectorInstr and cls(*values) == instr
 
 
 class TestOpcodeTable:

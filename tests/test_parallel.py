@@ -1,18 +1,22 @@
-"""Parallel sweep executor: determinism, cell cache, concurrent run store."""
+"""The one cell path at any ``jobs``: determinism, cell cache, compile
+sharing, ``--jobs`` validation, concurrent run store."""
 
 from __future__ import annotations
 
+import glob
 import json
 import multiprocessing
 import os
 
 import pytest
 
+from repro.cli import build_parser, main
+from repro.config import all_system_names
 from repro.errors import ExperimentError
-from repro.experiments import ExperimentRunner, ParallelRunner, sweep_pairs
+from repro.experiments import ExperimentRunner, sweep_pairs
 from repro.experiments.figures import geomean
 from repro.experiments.parallel import (CellCache, fan_out,
-                                        params_fingerprint, simulate_cell,
+                                        params_fingerprint,
                                         sweep_config_fingerprint)
 from repro.experiments.systems import canonical_system
 from repro.obs.diff import diff_records
@@ -29,8 +33,17 @@ PAIRS = [(s, w) for w in WORKLOADS for s in SYSTEMS]
 
 
 def _serial_cycles():
-    runner = ExperimentRunner(params_override=TINY_PARAMS)
+    runner = _runner()
     return {(s, w): runner.run(s, w).cycles for s, w in PAIRS}
+
+
+def _runner(**kwargs):
+    return ExperimentRunner(params_override=TINY_PARAMS, **kwargs)
+
+
+def _count(root, subdir):
+    return sum(name.endswith(".pkl") for _dirpath, _dirnames, names
+               in os.walk(os.path.join(root, subdir)) for name in names)
 
 
 def _record_from(results):
@@ -94,8 +107,7 @@ class TestFanOut:
 
 class TestParallelDeterminism:
     def test_parallel_matches_serial_cycles(self, tmp_path):
-        parallel = ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                                  cache_root=str(tmp_path / "cache"))
+        parallel = _runner(jobs=2, cache_root=str(tmp_path / "cache"))
         stats = parallel.prefetch(PAIRS)
         assert stats["cells"] == len(PAIRS)
         assert stats["simulated"] == len(PAIRS)
@@ -103,8 +115,7 @@ class TestParallelDeterminism:
         assert got == _serial_cycles()
 
     def test_serial_and_parallel_diff_verdicts_agree(self, tmp_path):
-        parallel = ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                                  cache_root=str(tmp_path / "cache"))
+        parallel = _runner(jobs=2, cache_root=str(tmp_path / "cache"))
         parallel.prefetch(PAIRS)
         serial_rec = _record_from(_serial_cycles())
         parallel_rec = _record_from(
@@ -116,11 +127,9 @@ class TestParallelDeterminism:
 
     def test_scorecard_json_byte_identical(self, tmp_path):
         figures, apps = ("fig8",), ("backprop",)
-        serial_card = build_scorecard(
-            runner=ExperimentRunner(params_override=TINY_PARAMS),
-            figures=figures, apps=apps, tiny=True)
-        parallel_runner = ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                                         cache_root=str(tmp_path / "cache"))
+        serial_card = build_scorecard(runner=_runner(), figures=figures,
+                                      apps=apps, tiny=True)
+        parallel_runner = _runner(jobs=2, cache_root=str(tmp_path / "cache"))
         parallel_runner.prefetch(scorecard_pairs(figures, apps))
         parallel_card = build_scorecard(runner=parallel_runner,
                                         figures=figures, apps=apps, tiny=True)
@@ -128,8 +137,7 @@ class TestParallelDeterminism:
         assert dump(serial_card) == dump(parallel_card)
 
     def test_jobs1_in_process_path_matches(self, tmp_path):
-        runner = ParallelRunner(params_override=TINY_PARAMS, jobs=1,
-                                cache_root=str(tmp_path / "cache"))
+        runner = _runner(jobs=1, cache_root=str(tmp_path / "cache"))
         runner.prefetch(PAIRS)
         assert {(s, w): runner.run(s, w).cycles
                 for s, w in PAIRS} == _serial_cycles()
@@ -138,12 +146,10 @@ class TestParallelDeterminism:
 class TestCellCache:
     def test_repeat_prefetch_hits_disk_cache(self, tmp_path):
         root = str(tmp_path / "cache")
-        first = ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                               cache_root=root)
+        first = _runner(jobs=2, cache_root=root)
         stats = first.prefetch(PAIRS)
         assert stats["cached"] == 0
-        second = ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                                cache_root=root)
+        second = _runner(jobs=2, cache_root=root)
         stats = second.prefetch(PAIRS)
         assert stats["cached"] == len(PAIRS)
         assert stats["simulated"] == 0
@@ -154,8 +160,7 @@ class TestCellCache:
         # EVE-1 and EVE-4 share one VL=2048 trace; the cache should hold
         # a single trace file for it (plus IO's scalar trace).
         root = str(tmp_path / "cache")
-        runner = ParallelRunner(params_override=TINY_PARAMS, jobs=2,
-                                cache_root=root)
+        runner = _runner(jobs=2, cache_root=root)
         runner.prefetch([(s, "vvadd") for s in SYSTEMS])
         traces = os.listdir(os.path.join(root, "traces"))
         assert len([t for t in traces if "vl2048" in t]) == 1
@@ -173,14 +178,33 @@ class TestCellCache:
         assert default != seeded
         assert params_fingerprint("vvadd", TINY_PARAMS, seed=7) == seeded
 
-    def test_simulate_cell_accepts_seeded_specs(self, tmp_path):
+    def test_serial_runner_publishes_and_replays_from_disk(self, tmp_path):
         root = str(tmp_path / "cache")
-        base = ("IO", "vvadd", TINY_PARAMS, root, False, True)
-        first = simulate_cell(base + (7,))
-        # Same seed hits the cache; the legacy 6-tuple (default seed)
-        # occupies a different cell entirely.
-        assert simulate_cell(base + (7,))["cached"] is True
-        assert simulate_cell(base)["cached"] is False
+        cold = _runner(cache_root=root).prefetch(PAIRS)
+        assert cold["cache_hits"] == 0
+        assert cold["cache_misses"] == cold["simulated"] == len(PAIRS)
+        assert _count(root, "results") == len(PAIRS)
+        warm_runner = _runner(cache_root=root)
+        warm = warm_runner.prefetch(PAIRS)
+        assert warm["cache_hits"] == warm["cells"] == len(PAIRS)
+        assert warm["simulated"] == 0
+        assert {(s, w): warm_runner.run(s, w).cycles
+                for s, w in PAIRS} == _serial_cycles()
+
+    def test_programmatic_runner_writes_no_cache(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _runner(jobs=2).prefetch(PAIRS[:2])
+        assert os.listdir(tmp_path) == []
+
+    def test_seeded_cells_occupy_distinct_entries(self, tmp_path):
+        root = str(tmp_path / "cache")
+        first = _runner(cache_root=root, seed=7).cell("IO", "vvadd")
+        # Same seed hits the cache; the default seed occupies a
+        # different cell entirely.
+        assert _runner(cache_root=root, seed=7).cell(
+            "IO", "vvadd")["cached"] is True
+        assert _runner(cache_root=root).cell("IO", "vvadd")["cached"] is False
         assert first["result"].cycles > 0
 
     def test_corrupt_cache_entry_is_a_miss(self, tmp_path):
@@ -189,34 +213,57 @@ class TestCellCache:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "wb") as handle:
             handle.write(b"not a pickle")
-        assert cache.load(path) is None
-        spec = ("IO", "vvadd", TINY_PARAMS, str(tmp_path), False, True)
-        out = simulate_cell(spec)
+        assert cache.load_entry(path) == (None, "corrupt")
+        assert os.path.exists(path + ".corrupt")  # quarantined, not deleted
+        assert cache.load_entry(path) == (None, "miss")
+        # A runner's own entry going bad is a miss too: the cell
+        # re-simulates and the bad pickle is quarantined.
+        first = _runner(cache_root=str(tmp_path)).cell("IO", "vvadd")
+        (published,) = glob.glob(
+            os.path.join(str(tmp_path), "results", "*", "IO--vvadd-*.pkl"))
+        with open(published, "wb") as handle:
+            handle.write(b"not a pickle")
+        out = _runner(cache_root=str(tmp_path)).cell("IO", "vvadd")
         assert out["cached"] is False
-        assert out["result"].cycles > 0
+        assert out["cache"]["result"] == "corrupt"
+        assert out["cache"]["corrupt_paths"] == [published]
+        assert out["result"].cycles == first["result"].cycles > 0
 
     def test_collect_metrics_round_trip(self, tmp_path):
         root = str(tmp_path / "cache")
-        spec = ("O3+EVE-1", "vvadd", TINY_PARAMS, root, True, True)
-        first = simulate_cell(spec)
+        first = _runner(cache_root=root, collect_metrics=True).cell(
+            "O3+EVE-1", "vvadd")
         assert first["metrics_flat"]
-        second = simulate_cell(spec)
+        warm = _runner(cache_root=root, collect_metrics=True)
+        second = warm.cell("O3+EVE-1", "vvadd")
         assert second["cached"] is True
         assert second["metrics_flat"] == first["metrics_flat"]
         assert second["result"].cycles == first["result"].cycles
+        assert warm.cell_metrics("o3+eve-1", "VVADD") == (
+            first["metrics_flat"], first["metrics_snapshot"])
 
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_source_change_misses_trace_and_result(self, tmp_path,
-                                                   monkeypatch):
+                                                   monkeypatch, jobs):
         from repro.experiments import parallel
-        spec = ("O3+EVE-1", "vvadd", TINY_PARAMS, str(tmp_path), False,
-                True)
-        cold = simulate_cell(spec)
-        assert cold["cache"]["result"] == cold["cache"]["trace"] == "miss"
-        assert simulate_cell(spec)["cached"] is True
+        root = str(tmp_path)
+        pairs = [("IO", "vvadd"), ("O3+EVE-1", "vvadd")]
+
+        def prefetch():
+            return _runner(jobs=jobs, cache_root=root).prefetch(pairs)
+
+        cold = prefetch()
+        assert cold["cache_hits"] == 0
+        assert cold["cache_misses"] == len(pairs)
+        assert (_count(root, "traces"), _count(root, "results")) == (2, 2)
+        assert prefetch()["cache_hits"] == len(pairs)
         monkeypatch.setattr(parallel, "_SOURCE_FP", "0" * 64)
-        edited = simulate_cell(spec)
-        assert edited["cached"] is False
-        assert edited["cache"]["result"] == edited["cache"]["trace"] == "miss"
+        edited = prefetch()
+        assert edited["cache_hits"] == 0
+        assert edited["simulated"] == len(pairs)
+        # Both tiers missed: every cell published a fresh trace and a
+        # fresh result under the edited digest.
+        assert (_count(root, "traces"), _count(root, "results")) == (4, 4)
 
     def test_source_fingerprint_tracks_file_bytes(self, tmp_path,
                                                   monkeypatch):
@@ -237,6 +284,51 @@ class TestCellCache:
 
     def test_config_fingerprint_stable(self):
         assert sweep_config_fingerprint() == sweep_config_fingerprint()
+
+
+class TestCompileSharing:
+    def test_serial_prefetch_compiles_once_per_trace(self):
+        runner = _runner()
+        runner.prefetch(sweep_pairs(("IO", "O3+IV", "O3+DV"),
+                                    ("backprop", "pathfinder")))
+        # Per workload: IO's scalar trace, and the VL=64 trace that
+        # O3+IV and O3+DV share along with its CompiledTrace.
+        assert runner.profiler.calls["compile"] == 4
+
+
+class TestJobsValidation:
+    def test_zero_jobs_means_every_cpu(self):
+        assert _runner(jobs=0).jobs == (os.cpu_count() or 1)
+
+    def test_negative_jobs_rejected_by_runner(self):
+        with pytest.raises(ValueError, match="jobs must be >= 0"):
+            _runner(jobs=-1)
+
+    @pytest.mark.parametrize("argv", [["compare", "vvadd"], ["sweep"],
+                                      ["scorecard"], ["faults"]])
+    def test_negative_jobs_rejected_at_parse_time(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + ["--jobs", "-3"])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
+class TestCompareMetrics:
+    def test_serial_and_pooled_metrics_snapshots_match(self, tmp_path,
+                                                       capsys):
+        serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
+        assert main(["compare", "vvadd", "--tiny", "--jobs", "1",
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--metrics-out", str(serial)]) == 0
+        assert main(["compare", "vvadd", "--tiny", "--jobs", "2",
+                     "--no-cache", "--metrics-out", str(pooled)]) == 0
+        capsys.readouterr()
+
+        def snapshots(path):
+            return json.loads(path.read_text())["metrics"]
+
+        assert set(snapshots(serial)) == set(all_system_names())
+        assert snapshots(serial) == snapshots(pooled)
 
 
 class TestSweepPairs:
@@ -268,7 +360,7 @@ class TestCanonicalization:
         assert canonical_workload("unknown") == "unknown"
 
     def test_runner_cache_is_case_insensitive(self):
-        runner = ExperimentRunner(params_override=TINY_PARAMS)
+        runner = _runner()
         first = runner.run("io", "VVADD")
         assert runner.run("IO", "vvadd") is first
         assert len(runner._results) == 1

@@ -146,7 +146,7 @@ class TestScorecardCli:
     """``repro scorecard`` end-to-end at tiny scale (machinery only)."""
 
     def test_json_output_shape(self, capsys):
-        code = main(["scorecard", "--tiny", "--json",
+        code = main(["scorecard", "--tiny", "--no-cache", "--json",
                      "--apps", "vvadd", "--figures", "table4"])
         assert code == 0    # no --gate: tiny grades never fail the build
         doc = json.loads(capsys.readouterr().out)
@@ -158,7 +158,7 @@ class TestScorecardCli:
         assert isinstance(doc["passed"], bool)
 
     def test_table_output_mentions_verdict(self, capsys):
-        assert main(["scorecard", "--tiny",
+        assert main(["scorecard", "--tiny", "--no-cache",
                      "--apps", "vvadd", "--figures", "table4"]) == 0
         out = capsys.readouterr().out
         assert "fidelity verdict" in out
@@ -169,7 +169,7 @@ class TestScorecardCli:
         # vvadd is not a Figure 7 kernel, so restricting to it leaves
         # fig7 with nothing to run (and nothing in the report).
         assert "vvadd" not in GEOMEAN_APPS
-        code = main(["scorecard", "--tiny", "--json",
+        code = main(["scorecard", "--tiny", "--no-cache", "--json",
                      "--apps", "vvadd", "--figures", "fig7"])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
@@ -177,7 +177,7 @@ class TestScorecardCli:
 
     def test_record_appends_to_store(self, tmp_path, capsys):
         store_dir = str(tmp_path / "runs")
-        code = main(["scorecard", "--tiny", "--apps", "vvadd",
+        code = main(["scorecard", "--tiny", "--no-cache", "--apps", "vvadd",
                      "--figures", "table4", "--record",
                      "--store", store_dir])
         assert code == 0
@@ -187,7 +187,7 @@ class TestScorecardCli:
 
     def test_json_out_writes_file(self, tmp_path, capsys):
         out_file = tmp_path / "scorecard.json"
-        assert main(["scorecard", "--tiny", "--apps", "vvadd",
+        assert main(["scorecard", "--tiny", "--no-cache", "--apps", "vvadd",
                      "--figures", "table4",
                      "--json-out", str(out_file)]) == 0
         doc = json.loads(out_file.read_text())
