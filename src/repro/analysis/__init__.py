@@ -11,7 +11,7 @@ Layered like a small compiler middle-end:
   buffer plus the load/store dependence (alias) relation;
 * :mod:`repro.analysis.depgraph` — the exported :class:`DepGraph`
   (nodes = trace events, edges = register RAW/WAR/WAW + memory + vl +
-  fence dependences) that the trace compiler will consume;
+  fence dependences) behind the critical-path report;
 * :mod:`repro.analysis.replay` — a trace-level reference executor used
   to validate the dependence graph (any topological order must produce
   bit-identical state) and to cross-check corpus observations;

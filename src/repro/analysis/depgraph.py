@@ -1,4 +1,4 @@
-"""The exported trace dependence graph (future trace-compiler input).
+"""The exported trace dependence graph.
 
 Nodes are trace event indices; edges carry a kind tag:
 
@@ -119,9 +119,6 @@ def dependence_edge_groups(
 
     This is the bulk form :func:`build_depgraph` dedups into
     :class:`DepEdge` objects; duplicates across groups are possible.
-    The trace compiler's block scheduler consumes it directly — on
-    hundred-thousand-event traces, materialising per-edge objects costs
-    more than the whole simulation it is meant to speed up.
     """
     cols = columns if columns is not None else TraceColumns(trace)
     if footprint is None or not footprint.has_deps:

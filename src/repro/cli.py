@@ -211,8 +211,8 @@ def _finalize_telemetry(telemetry: Optional[CampaignTelemetry]) -> None:
 def _fingerprint_extra(runner: ExperimentRunner):
     """Record-fingerprint payload: params override plus any non-default
     input seed, so seeded records are config-distinct from default runs.
-    Compiled runs additionally fold in the compiler descriptor (pass
-    list + compiler version), so a record produced through the trace
+    Compiled runs additionally fold in the compiler descriptor (the
+    compiler version), so a record produced through the trace
     compiler can never be mistaken for an interpreter baseline."""
     extra = dict(runner.params_override) if runner.params_override else {}
     if runner.seed != DEFAULT_SEED:
@@ -1187,10 +1187,10 @@ def _add_telemetry_arguments(sub) -> None:
 def _add_compile_argument(sub) -> None:
     sub.add_argument("--compile", action=argparse.BooleanOptionalAction,
                      default=True,
-                     help="run uninstrumented simulations through the "
-                          "trace compiler's batched evaluator "
+                     help="run uninstrumented simulations on hoisted "
+                          "request lines and the fast memory model "
                           "(cycle-identical to the interpreter; "
-                          "--no-compile forces the reference path)")
+                          "--no-compile forces the reference interpreter)")
 
 
 def _add_seed_argument(sub) -> None:

@@ -1,192 +1,79 @@
-"""Trace compiler: DCE + line hoisting + block scheduling + fast backends.
+"""Trace compiler: request-line hoisting plus the fast memory model.
 
-The per-event interpreter loop is the simulator's dispatch bottleneck:
-every memory event re-derives its cache-line stream through numpy, every
-functional macro-op runs a per-cycle micro-program, and every cache
-access crosses several delegation layers.  This package compiles a trace
-once and lets the machines replay the compiled form:
+Values are computed when a trace is built; each machine then times the
+events in program order (the paper's function/timing split).  The one
+per-event cost a compile can take out of that timing loop is deriving
+every memory event's cache-line request stream from its
+:class:`~repro.isa.instructions.MemAccess` pattern.  So the compiler is
+one pass:
 
-* :mod:`passes` — dead-op elimination (the architectural work view,
-  gated against the static checkers) and memory-line hoisting (the
-  per-event request lists, precomputed to plain ints);
-* :mod:`blocks` — the block scheduler, packing events into
-  dependence-legal kind-homogeneous blocks proved against the
-  :class:`~repro.analysis.depgraph.DepGraph`;
-* :mod:`batched` — the numpy word-level datapath behind
-  ``EveFunctionalEngine(batched=True)``;
+* :mod:`passes` — memory-line hoisting: every memory-touching event's
+  request list, precomputed once per trace to plain ints;
 * :mod:`memengine` — the flattened memory hierarchy the machines swap
   in for uninstrumented compiled runs.
 
 Cycle accounting is byte-identical to the interpreted path by
-construction: the machines replay every original event in original
-order (blocks outer, events inner), dead ops included — elimination
-changes what the *checkers* see, never what the timing models charge.
-Instrumented runs (tracer, metrics, attribution, fault injection)
-always take the reference interpreter path.
+construction: the machines iterate ``enumerate(trace)`` in both modes
+and the hoisted lists are the very lists the interpreter derives
+(:func:`~repro.isa.instructions.request_lines`).  Instrumented runs
+(tracer, metrics, attribution, fault injection) always take the
+reference interpreter path.
 
-:data:`COMPILER_VERSION` and the pass list are folded into experiment
-fingerprints (see :func:`CompilerConfig.descriptor`) so compiled and
-uncompiled results can never collide in the result cache.
+:data:`COMPILER_VERSION` is folded into experiment fingerprints (see
+:func:`compiler_descriptor`) so compiled and uncompiled results can
+never collide in the result cache.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict
 
-from ..analysis.columns import TraceColumns
-from ..errors import CompilerError
 from ..isa.trace import Trace
-from .blocks import Block, schedule_blocks
-from .passes import (DceResult, LinesTable, eliminate_dead_ops,
-                     hoist_memory_lines, verify_dce_findings)
+from .passes import LinesTable, hoist_memory_lines
 
-#: Bumped whenever a pass changes observable behaviour; part of every
-#: compiled run's fingerprint.
-COMPILER_VERSION = 1
-
-#: The full pipeline, in the order it runs.
-DEFAULT_PASSES: Tuple[str, ...] = ("dce", "hoist", "schedule")
-
-_KNOWN_PASSES = frozenset(DEFAULT_PASSES)
-
-
-@dataclass(frozen=True)
-class CompilerConfig:
-    """Which passes run, and whether equivalence gates are fatal."""
-
-    passes: Tuple[str, ...] = DEFAULT_PASSES
-    strict: bool = False
-
-    def __post_init__(self) -> None:
-        unknown = set(self.passes) - _KNOWN_PASSES
-        if unknown:
-            raise CompilerError(
-                f"unknown compiler pass(es): {sorted(unknown)} "
-                f"(known: {sorted(_KNOWN_PASSES)})")
-
-    def descriptor(self) -> Dict[str, object]:
-        """Fingerprint ingredient: identifies the compiled semantics."""
-        return {"compiler_version": COMPILER_VERSION,
-                "passes": list(self.passes)}
+#: Bumped whenever compilation changes observable behaviour; part of
+#: every compiled run's fingerprint.
+COMPILER_VERSION = 2
 
 
 class CompiledTrace:
-    """One trace, compiled: line tables, block schedule, DCE view.
+    """One trace, compiled: the trace plus its hoisted request lines.
 
-    The machines drive a compiled run through :meth:`iter_events`
-    (block-at-a-time event stream, order-identical to ``enumerate``)
-    and :meth:`lines_for` (the hoisted request list, or ``None`` for
-    non-memory events).
+    The machines read :meth:`lines_for` (the hoisted request list, or
+    ``None`` for non-memory events) while iterating the trace itself.
     """
 
-    def __init__(self, trace: Trace, config: CompilerConfig,
-                 lines: LinesTable, blocks: Optional[List[Block]],
-                 dce: Optional[DceResult],
-                 dce_ok: bool = True,
-                 dce_mismatch: Tuple[tuple, tuple] = ((), ())) -> None:
+    def __init__(self, trace: Trace, lines: LinesTable) -> None:
         self.trace = trace
-        self.config = config
         self.lines = lines
-        self.blocks = blocks
-        self.dce = dce
-        #: Did the DCE-vs-checker findings invariant hold?  Always True
-        #: in strict mode (a violation raises at compile time).
-        self.dce_ok = dce_ok
-        self.dce_mismatch = dce_mismatch
-
-    @property
-    def optimized(self) -> Trace:
-        """The analysis view: original trace minus eliminated dead ops."""
-        return self.dce.trace if self.dce is not None else self.trace
-
-    @property
-    def eliminated(self) -> Tuple[int, ...]:
-        return self.dce.eliminated if self.dce is not None else ()
-
-    def iter_events(self) -> Iterator[tuple]:
-        """Yield ``(index, event)`` block-at-a-time, program order."""
-        events = self.trace.events
-        if self.blocks is None:
-            for index, event in enumerate(events):
-                yield index, event
-            return
-        for block in self.blocks:
-            for index in block.events:
-                yield index, events[index]
 
     def lines_for(self, index: int):
         return self.lines.get(index)
 
     def descriptor(self) -> Dict[str, object]:
-        return self.config.descriptor()
+        return compiler_descriptor(True)
 
     def summary(self) -> Dict[str, object]:
-        return {
-            "events": len(self.trace.events),
-            "blocks": len(self.blocks) if self.blocks is not None else 0,
-            "max_block": max((len(b) for b in self.blocks), default=0)
-                         if self.blocks is not None else 0,
-            "dep_levels": max((b.level for b in self.blocks), default=0) + 1
-                          if self.blocks else 0,
-            "eliminated": len(self.eliminated),
-            "dce_rounds": self.dce.rounds if self.dce is not None else 0,
-            "dce_ok": self.dce_ok,
-            "hoisted_events": len(self.lines),
-        }
+        # ``eliminated`` and ``blocks`` stay for the benchmark probe's
+        # per-layer counters; the compiler neither eliminates nor packs.
+        return {"events": len(self.trace.events), "eliminated": 0,
+                "blocks": 0, "hoisted_events": len(self.lines)}
 
 
-def compile_trace(trace: Trace, config: Optional[CompilerConfig] = None,
-                  columns: Optional[TraceColumns] = None) -> CompiledTrace:
-    """Run the pass pipeline over ``trace``.
-
-    ``columns`` lets a caller that already built the def-use facts (the
-    analysis pipeline, strict check) share them with the first DCE
-    round.  With ``config.strict`` the findings gate raises on
-    violation; otherwise a violation is recorded on the result and the
-    DCE view is discarded (the unoptimized trace stands in), so a
-    non-strict compile never contradicts ``repro check``.
-    """
-    config = config if config is not None else CompilerConfig()
-    passes = config.passes
-    if columns is None and ("dce" in passes or "schedule" in passes):
-        columns = TraceColumns(trace)
-
-    dce = None
-    dce_ok = True
-    dce_mismatch: Tuple[tuple, tuple] = ((), ())
-    if "dce" in passes:
-        dce = eliminate_dead_ops(trace, columns=columns)
-        if dce.eliminated:
-            dce_ok, missing, unexpected = verify_dce_findings(
-                trace, dce, strict=config.strict)
-            dce_mismatch = (missing, unexpected)
-            if not dce_ok:
-                dce = None
-
-    lines: LinesTable = (hoist_memory_lines(trace)
-                         if "hoist" in passes else {})
-
-    blocks = None
-    if "schedule" in passes:
-        blocks = schedule_blocks(trace, columns=columns)
-
-    return CompiledTrace(trace, config, lines, blocks, dce,
-                         dce_ok=dce_ok, dce_mismatch=dce_mismatch)
+def compile_trace(trace: Trace) -> CompiledTrace:
+    """Hoist ``trace``'s request lines into a :class:`CompiledTrace`."""
+    return CompiledTrace(trace, hoist_memory_lines(trace))
 
 
-def compiler_descriptor(enabled: bool,
-                        config: Optional[CompilerConfig] = None):
+def compiler_descriptor(enabled: bool):
     """The fingerprint ingredient for a run: a descriptor dict when the
     compiled path is on, ``None`` when interpreted."""
     if not enabled:
         return None
-    return (config if config is not None else CompilerConfig()).descriptor()
+    return {"compiler_version": COMPILER_VERSION}
 
 
 __all__ = [
-    "COMPILER_VERSION", "DEFAULT_PASSES", "CompilerConfig", "CompiledTrace",
-    "compile_trace", "compiler_descriptor", "Block", "schedule_blocks",
-    "DceResult", "eliminate_dead_ops", "verify_dce_findings",
-    "hoist_memory_lines",
+    "COMPILER_VERSION", "CompiledTrace", "compile_trace",
+    "compiler_descriptor", "hoist_memory_lines",
 ]

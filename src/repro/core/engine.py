@@ -21,7 +21,7 @@ from typing import Dict, Optional, Tuple
 from ..config import SystemConfig
 from ..errors import SimulationError
 from ..faults.inject import NULL_FAULTS
-from ..isa.instructions import ScalarBlock, VectorInstr
+from ..isa.instructions import ScalarBlock, VectorInstr, request_lines
 from ..isa.opcodes import Category
 from ..isa.trace import Trace
 from ..mem.hierarchy import MemorySystem
@@ -30,14 +30,10 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import SpanTracer
 from ..sram.layout import RegisterLayout
 from ..uops.rom import MacroOpRom
+from ..cores.machine import no_lines
 from ..cores.result import SimResult, StallBreakdown
 from ..cores.vector_base import VectorMachineBase
 from .units import DtuPool, VmuModel, VruModel
-
-
-def _NO_LINES(index):
-    """Interpreted path: no hoisted line list for any event."""
-    return None
 
 
 @dataclass
@@ -120,8 +116,9 @@ class EveMachine(VectorMachineBase):
     def run(self, trace: Trace, compiled=None) -> SimResult:
         tracer = self.tracer
         attr = self.attr
-        compiled = self._prepare_compiled(compiled)  # installs fast mem
-        if compiled is None:
+        lines_for = self._prepare_compiled(compiled)  # installs fast mem
+        if lines_for is no_lines:
+            # Interpreted: a cold reference hierarchy for every run.
             self.mem = MemorySystem(self.config, tracer=tracer,
                                     metrics=self.metrics, attribution=attr)
         self.vmu = VmuModel(self.mem)
@@ -161,17 +158,7 @@ class EveMachine(VectorMachineBase):
         if attr.enabled:
             attr.meta["spawn_cycles"] = float(setup.cycles)
 
-        if compiled is None:
-            events = enumerate(trace)
-            lines_for = _NO_LINES
-        else:
-            # Block-at-a-time replay: the scheduler's packs drive the
-            # event stream (program order, so cycle accounting matches
-            # the interpreted loop byte for byte) and each memory event
-            # uses its hoisted line list instead of re-deriving it.
-            events = compiled.iter_events()
-            lines_for = compiled.lines_for
-        for idx, event in events:
+        for idx, event in enumerate(trace):
             if attr.enabled:
                 attr.set_node(idx)
             if isinstance(event, ScalarBlock):
@@ -353,8 +340,8 @@ class EveMachine(VectorMachineBase):
     def _load(self, start: float, instr: VectorInstr,
               lines=None) -> float:
         """VMU fetch -> DTU transpose -> rows written."""
-        per_element = instr.category in (Category.MEM_STRIDE, Category.MEM_INDEX)
-        stream = self.vmu.stream(start, instr.mem, per_element, lines=lines)
+        stream = self.vmu.stream(start, instr.mem,
+                                 instr.category.per_element, lines=lines)
         dt_done = self.dtu.process(stream.first_done, stream.n_lines)
         done = max(stream.last_done, dt_done)
         self._last_dt_limited = dt_done > stream.last_done
@@ -363,14 +350,10 @@ class EveMachine(VectorMachineBase):
     def _store(self, start: float, instr: VectorInstr,
                lines=None) -> float:
         """Rows read -> DTU detranspose -> VMU write stream."""
-        per_element = instr.category in (Category.MEM_STRIDE, Category.MEM_INDEX)
-        if lines is not None:
-            # The hoisted list is one entry per request in both modes.
-            n_lines = len(lines)
-        else:
-            n_lines = (instr.mem.num_accesses if per_element
-                       else len(instr.mem.line_addresses()))
-        dt_done = self.dtu.process(start, n_lines)
+        per_element = instr.category.per_element
+        if lines is None:
+            lines = request_lines(instr.mem, per_element)
+        dt_done = self.dtu.process(start, len(lines))
         # The VMU starts writing once the first line is detransposed.
         first_data = start + self.dtu.cycles_per_line
         stream = self.vmu.stream(max(first_data, start), instr.mem,

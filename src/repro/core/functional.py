@@ -66,52 +66,17 @@ class EveMask(EveVec):
 Operand = Union[EveVec, int, np.integer]
 
 
-class _BitDatapath:
-    """Macro-block execution on the bit-exact EVE SRAM.
-
-    The default backend: each macro in a block resolves to its ROM
-    micro-program and runs on the :class:`MicroEngine`
-    (:meth:`~repro.uops.executor.MicroEngine.run_block`).
-    """
-
-    def __init__(self, rom: MacroOpRom, engine: MicroEngine, sram: EveSram,
-                 layout: RegisterLayout) -> None:
-        self.rom = rom
-        self.engine = engine
-        self.sram = sram
-        self.layout = layout
-
-    def execute(self, block) -> int:
-        return self.engine.run_block(
-            [(self.rom.program(macro, **params),
-              Binding(layout=self.layout, regs=regs, scalar=scalar))
-             for macro, regs, scalar, params in block],
-            self.sram)
-
-    def read_vreg(self, reg: int) -> np.ndarray:
-        return self.sram.read_vreg(self.layout, reg)
-
-    def write_vreg(self, reg: int, values: np.ndarray) -> None:
-        self.sram.write_vreg(self.layout, reg, values)
-
-
 class EveFunctionalEngine:
     """Bit-exact vector execution on the EVE SRAM pool.
 
-    With ``batched=True`` the per-μop bit datapath is swapped for the
-    compiler's :class:`~repro.compiler.batched.WordDatapath`: macro blocks
-    evaluate as vectorised word arithmetic with cycles charged from the
-    ROM's (data-independent) timing runs.  Register allocation, spilling,
-    and macro emission are identical either way, so cycle counts, spill
-    counts, and every observable value match the bit path exactly —
-    ``tests/test_compiler.py`` holds the two modes bit-for-bit together
-    over the fuzz corpus.  Fault injection hooks into the μop stream, so
-    the batched mode refuses an enabled fault plan.
+    Queued macro-ops run as blocks of ROM micro-programs on the
+    :class:`MicroEngine` (:meth:`~repro.uops.executor.MicroEngine.run_block`),
+    and every register read or write goes through the SRAM.
     """
 
     def __init__(self, factor: int, capacity: int = 64,
                  num_vregs: int = 32, element_bits: int = 32,
-                 faults=None, batched: bool = False) -> None:
+                 faults=None) -> None:
         segments = element_bits // factor
         rows = max(256, num_vregs * segments)
         cols = capacity * factor
@@ -127,17 +92,6 @@ class EveFunctionalEngine:
         self.engine = MicroEngine(faults=self.faults)
         self.vm = VirtualMemory()
         self.capacity = capacity
-        self.batched = batched
-        if batched:
-            if self.faults.enabled:
-                raise SimulationError(
-                    "batched evaluation cannot model μop-level fault "
-                    "injection; use the bit datapath for fault campaigns")
-            from ..compiler.batched import WordDatapath
-            self._dp = WordDatapath(self.rom, capacity)
-        else:
-            self._dp = _BitDatapath(self.rom, self.engine, self.sram,
-                                    self.layout)
         self._pending: list = []     # macro ops awaiting block execution
         self.vl = 0
         self.cycles = 0
@@ -218,18 +172,23 @@ class EveFunctionalEngine:
         self._pending.append((macro, regs, int(scalar), params))
 
     def _flush(self) -> None:
-        """Execute the pending macro block on the active datapath."""
+        """Execute the pending macro block on the bit datapath."""
         if self._pending:
             block, self._pending = self._pending, []
-            self.cycles += self._dp.execute(block)
+            rom, layout = self.rom, self.layout
+            self.cycles += self.engine.run_block(
+                [(rom.program(macro, **params),
+                  Binding(layout=layout, regs=regs, scalar=scalar))
+                 for macro, regs, scalar, params in block],
+                self.sram)
 
     def _dp_read(self, reg: int) -> np.ndarray:
         self._flush()
-        return self._dp.read_vreg(reg)
+        return self.sram.read_vreg(self.layout, reg)
 
     def _dp_write(self, reg: int, values: np.ndarray) -> None:
         self._flush()
-        self._dp.write_vreg(reg, values)
+        self.sram.write_vreg(self.layout, reg, values)
 
     def _read(self, handle_or_reg) -> np.ndarray:
         reg = (self._ensure(handle_or_reg)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..isa.instructions import MemAccess
+from ..isa.instructions import MemAccess, request_lines
 from ..mem.hierarchy import MemorySystem
 from ..obs.attribution import NULL_ATTRIBUTION
 from ..obs.tracer import NULL_TRACER, SpanTracer
@@ -57,18 +57,12 @@ class VmuModel:
                per_element: bool, lines=None) -> StreamResult:
         """Issue all line requests of one memory macro-operation.
 
-        ``lines`` is the compiled path's hoisted request list (plain
-        ints, precomputed by the trace compiler); when ``None`` the
-        stream is derived from the pattern exactly as the compiler
-        would have.
+        ``lines`` is the compiled path's hoisted request list; when
+        ``None`` it is derived from the pattern by the same
+        :func:`~repro.isa.instructions.request_lines` the compiler uses.
         """
         if lines is None:
-            import numpy as np
-            if per_element:
-                raw = pattern.element_addresses() // 64 * 64
-            else:
-                raw = pattern.line_addresses()
-            lines = [int(line) for line in np.asarray(raw, dtype=np.int64)]
+            lines = request_lines(pattern, per_element)
         t = start
         first_done = start
         last_done = start

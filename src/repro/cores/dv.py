@@ -14,7 +14,7 @@ from typing import Dict, Tuple
 
 from ..config import SystemConfig
 from ..errors import SimulationError
-from ..isa.instructions import ScalarBlock, VectorInstr
+from ..isa.instructions import ScalarBlock, VectorInstr, request_lines
 from ..isa.opcodes import Category
 from ..isa.trace import Trace
 from .result import SimResult
@@ -57,13 +57,7 @@ class DecoupledVectorMachine(VectorMachineBase):
         self._chain.clear()
         tracer = self.tracer
         attr = self.attr
-        compiled = self._prepare_compiled(compiled)  # installs fast mem
-        if compiled is None:
-            events = enumerate(trace)
-            lines_for = None
-        else:
-            events = compiled.iter_events()
-            lines_for = compiled.lines_for
+        lines_for = self._prepare_compiled(compiled)  # installs fast mem
         self._core_busy = 0.0
         self._core_stall = 0.0
         self._drain_node = -1
@@ -72,20 +66,16 @@ class DecoupledVectorMachine(VectorMachineBase):
         now = 0.0
         finish = 0.0
         instructions = 0
-        for idx, event in events:
+        for idx, event in enumerate(trace):
             if attr.enabled:
                 attr.set_node(idx)
             if isinstance(event, ScalarBlock):
-                now = self.run_scalar_block(
-                    now, event,
-                    lines_for(idx) if lines_for is not None else None)
+                now = self.run_scalar_block(now, event, lines_for(idx))
                 finish = max(finish, now)
                 continue
             instr: VectorInstr = event
             instructions += 1
-            issue_end, done = self._vector_instr(
-                instr, now,
-                lines_for(idx) if lines_for is not None else None)
+            issue_end, done = self._vector_instr(instr, now, lines_for(idx))
             if attr.enabled:
                 # In-order issue: each vector instruction holds the issue
                 # stage for one cycle; pipe occupancy is charged inside
@@ -187,7 +177,9 @@ class DecoupledVectorMachine(VectorMachineBase):
 
     def _memory_instr(self, instr: VectorInstr, now: float,
                       lines=None) -> Tuple[float, float]:
-        per_element = instr.category in (Category.MEM_STRIDE, Category.MEM_INDEX)
+        per_element = instr.category.per_element
+        if lines is None:
+            lines = request_lines(instr.mem, per_element)
         # Address generation occupies the memory pipe as soon as the index
         # register (if any) is ready; store *data* may arrive later — the
         # store queue decouples it, so later loads are not serialised
@@ -202,11 +194,7 @@ class DecoupledVectorMachine(VectorMachineBase):
             issue_interval=1.0, lines=lines)
         if instr.info.is_store and instr.vd >= 0:
             last_done = max(last_done, self._chain.get(instr.vd, (0.0, 0.0))[1])
-        if lines is not None:
-            n_requests = len(lines)
-        else:
-            n_requests = (instr.mem.num_accesses if per_element
-                          else len(instr.mem.line_addresses()))
+        n_requests = len(lines)
         self._pipe_free["memory"] = addr_start + n_requests
         if self.attr.enabled:
             self.attr.charge("pipe", "memory", float(n_requests))

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..config import SystemConfig
 from ..errors import SimulationError
-from ..isa.instructions import ScalarBlock, VectorInstr
+from ..isa.instructions import ScalarBlock, VectorInstr, request_lines
 from ..isa.opcodes import Category
 from ..isa.trace import Trace
 from ..mem.mshr import MshrPool
@@ -56,13 +54,7 @@ class IntegratedVectorMachine(VectorMachineBase):
         self.reset()
         tracer = self.tracer
         attr = self.attr
-        compiled = self._prepare_compiled(compiled)  # installs fast mem
-        if compiled is None:
-            events = enumerate(trace)
-            lines_for = None
-        else:
-            events = compiled.iter_events()
-            lines_for = compiled.lines_for
+        lines_for = self._prepare_compiled(compiled)  # installs fast mem
         self._core_busy = 0.0
         self._core_stall = 0.0
         self._drain_node = -1
@@ -70,20 +62,16 @@ class IntegratedVectorMachine(VectorMachineBase):
         now = 0.0           # issue timeline of the shared pipes
         finish = 0.0
         instructions = 0
-        for idx, event in events:
+        for idx, event in enumerate(trace):
             if attr.enabled:
                 attr.set_node(idx)
             if isinstance(event, ScalarBlock):
-                now = self.run_scalar_block(
-                    now, event,
-                    lines_for(idx) if lines_for is not None else None)
+                now = self.run_scalar_block(now, event, lines_for(idx))
                 finish = max(finish, now)
                 continue
             instr: VectorInstr = event
             instructions += 1
-            done = self._vector_instr(
-                instr, now,
-                lines_for(idx) if lines_for is not None else None)
+            done = self._vector_instr(instr, now, lines_for(idx))
             if attr.enabled:
                 # Issue-timeline split: the wait for source operands, then
                 # the pipe occupancy of the instruction's uops.
@@ -182,13 +170,9 @@ class IntegratedVectorMachine(VectorMachineBase):
         # coalesces them, so one line request per distinct line.  Strided
         # and indexed ops become one scalar request per element.  Each
         # in-flight request holds one of the shared LSQ window's slots.
-        per_element = instr.category in (Category.MEM_STRIDE, Category.MEM_INDEX)
+        per_element = instr.category.per_element
         if lines is None:
-            if per_element:
-                raw = instr.mem.element_addresses() // 64 * 64
-            else:
-                raw = instr.mem.line_addresses()
-            lines = [int(line) for line in np.asarray(raw, dtype=np.int64)]
+            lines = request_lines(instr.mem, per_element)
         # Indexed accesses also extract each address from a vector register
         # (an extra scalar μop per element).
         interval = 1.0 / self.LSQ_PORTS

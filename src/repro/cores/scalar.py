@@ -10,56 +10,26 @@ MSHRs, which the hierarchy's token pools enforce).
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..config import SystemConfig
 from ..errors import SimulationError
-from ..isa.instructions import ScalarBlock
+from ..isa.instructions import ScalarBlock, request_lines
 from ..isa.trace import Trace
-from ..mem.hierarchy import MemorySystem
-from ..obs.attribution import NULL_ATTRIBUTION
-from ..obs.metrics import NULL_METRICS, MetricsRegistry
-from ..obs.tracer import NULL_TRACER, SpanTracer
+from .machine import MachineBase
 from .result import SimResult
 
 
-class ScalarCore:
+class ScalarCore(MachineBase):
     """The IO / O3 scalar baselines (selected by ``config.core.kind``)."""
-
-    def __init__(self, config: SystemConfig,
-                 tracer: Optional[SpanTracer] = None,
-                 metrics: Optional[MetricsRegistry] = None,
-                 attribution=None) -> None:
-        self.config = config
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.attr = (attribution if attribution is not None
-                     else NULL_ATTRIBUTION)
-        self.metrics.reserve("sim", "ScalarCore")
-        self.mem = MemorySystem(config, tracer=self.tracer,
-                                metrics=self.metrics, attribution=self.attr)
 
     def run(self, trace: Trace, compiled=None) -> SimResult:
         core = self.config.core
         tracer = self.tracer
         attr = self.attr
-        if compiled is not None and (tracer.enabled or self.metrics.enabled
-                                     or attr.enabled):
-            # Instrumented runs take the reference interpreter path.
-            compiled = None
-        if compiled is None:
-            events = enumerate(trace)
-            lines_for = None
-        else:
-            from ..compiler.memengine import FastMemorySystem
-            self.mem = FastMemorySystem(self.config)
-            events = compiled.iter_events()
-            lines_for = compiled.lines_for
+        lines_for = self._prepare_compiled(compiled)  # installs fast mem
         now = 0.0
         instructions = 0
         core_busy = 0.0
         core_stall = 0.0
-        for idx, event in events:
+        for idx, event in enumerate(trace):
             if not isinstance(event, ScalarBlock):
                 raise SimulationError(
                     f"scalar core {self.config.name} fed a vector trace; "
@@ -69,7 +39,7 @@ class ScalarCore:
             instructions += event.n_instr
             issue_cycles = event.n_instr * core.base_cpi
             block_start = now
-            lines = lines_for(idx) if lines_for is not None else None
+            lines = lines_for(idx)
             if core.kind == "io":
                 now = self._run_block_blocking(now, event, issue_cycles,
                                                lines)
@@ -119,7 +89,7 @@ class ScalarCore:
         l1_hit = self.config.l1d.hit_latency
         now += issue_cycles
         if lines is None:
-            lines = [[int(line) for line in pattern.line_addresses()]
+            lines = [request_lines(pattern, False)
                      for pattern in block.accesses]
         access = self.mem.access
         for pattern, pattern_lines in zip(block.accesses, lines):
@@ -142,7 +112,7 @@ class ScalarCore:
         l1_hit = self.config.l1d.hit_latency
         end_issue = now + issue_cycles
         if lines is None:
-            lines = [[int(line) for line in pattern.line_addresses()]
+            lines = [request_lines(pattern, False)
                      for pattern in block.accesses]
         n_lines = sum(len(pattern_lines) for pattern_lines in lines) or 1
         spacing = issue_cycles / n_lines

@@ -9,66 +9,27 @@ timed.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
-import numpy as np
-
-from ..config import SystemConfig
-from ..isa.instructions import MemAccess, ScalarBlock, VectorInstr
-from ..mem.hierarchy import MemorySystem
-from ..obs.attribution import NULL_ATTRIBUTION
-from ..obs.metrics import NULL_METRICS, MetricsRegistry
-from ..obs.tracer import NULL_TRACER, SpanTracer
+from ..isa.instructions import (MemAccess, ScalarBlock, VectorInstr,
+                                request_lines)
+from .machine import MachineBase
 
 
-class VectorMachineBase:
-    """Common state: memory system, register scoreboard, scalar blocks."""
+class VectorMachineBase(MachineBase):
+    """Common state: register scoreboard, scalar blocks, line streams."""
 
-    def __init__(self, config: SystemConfig,
-                 tracer: Optional[SpanTracer] = None,
-                 metrics: Optional[MetricsRegistry] = None,
+    def __init__(self, config, tracer=None, metrics=None,
                  attribution=None) -> None:
-        self.config = config
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
-        self.attr = (attribution if attribution is not None
-                     else NULL_ATTRIBUTION)
-        # Claim the machine-level metric namespaces up front so another
-        # unit sharing this registry cannot silently collide with them.
-        owner = type(self).__name__
-        self.metrics.reserve("sim", owner)
-        self.metrics.reserve("breakdown", owner)
-        self.mem = MemorySystem(config, tracer=self.tracer,
-                                metrics=self.metrics, attribution=self.attr)
+        super().__init__(config, tracer=tracer, metrics=metrics,
+                         attribution=attribution)
+        self.metrics.reserve("breakdown", type(self).__name__)
         #: vector register -> time its value is ready
         self.reg_ready: Dict[int, float] = {}
         #: Control-processor attribution totals ("core" unit); reset per
         #: run by the subclasses, accumulated in run_scalar_block.
         self._core_busy = 0.0
         self._core_stall = 0.0
-
-    # -- compiled-trace support ------------------------------------------
-
-    def _prepare_compiled(self, compiled):
-        """Gate a compiled trace on instrumentation and install the fast
-        memory model.
-
-        Instrumented runs (tracer, metrics, attribution, fault
-        injection) always take the reference interpreter path — the
-        observability stack hooks the layered hierarchy, and equivalence
-        there is guaranteed by running identical code, not by argument.
-        Returns the compiled trace to use, or ``None``.
-        """
-        if compiled is None:
-            return None
-        faults = getattr(self, "faults", None)
-        if (self.tracer.enabled or self.metrics.enabled
-                or self.attr.enabled
-                or (faults is not None and faults.enabled)):
-            return None
-        from ..compiler.memengine import FastMemorySystem
-        self.mem = FastMemorySystem(self.config)
-        return compiled
 
     # -- scoreboard ------------------------------------------------------
 
@@ -97,7 +58,7 @@ class VectorMachineBase:
         end = now + issue_cycles
         t = now
         if lines is None:
-            lines = [[int(line) for line in pattern.line_addresses()]
+            lines = [request_lines(pattern, False)
                      for pattern in block.accesses]
         unhidden = 1.0 - core.miss_overlap
         access = self.mem.access
@@ -137,14 +98,7 @@ class VectorMachineBase:
         ``(first_done, last_done, mshr_stall_total)``.
         """
         if lines is None:
-            if per_element:
-                # One request per element, at the line its address falls
-                # in (duplicates intentionally kept: each element is a
-                # request).
-                raw = pattern.element_addresses() // 64 * 64
-            else:
-                raw = pattern.line_addresses()
-            lines = [int(line) for line in np.asarray(raw, dtype=np.int64)]
+            lines = request_lines(pattern, per_element)
         if len(lines) == 0:
             return start, start, 0.0
         t = start

@@ -83,19 +83,6 @@ class AnalysisError(ReproError):
         self.findings = tuple(findings)
 
 
-class CompilerError(ReproError):
-    """Trace compilation failed, or a compile-time equivalence gate
-    (block-schedule legality, the DCE-vs-checker findings invariant)
-    tripped in strict mode.
-
-    Carries any static-check findings involved in :attr:`findings`.
-    """
-
-    def __init__(self, message: str, findings=()) -> None:
-        super().__init__(message)
-        self.findings = tuple(findings)
-
-
 class EventLogError(ReproError):
     """A telemetry event is malformed, the event log is corrupt, or an
     event-stream invariant (schema version, known kinds, watchdog

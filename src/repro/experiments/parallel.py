@@ -90,7 +90,8 @@ def source_fingerprint() -> str:
 def params_fingerprint(workload_name: str,
                        params_override: Optional[Dict[str, dict]],
                        seed: int = DEFAULT_SEED,
-                       compiler: Optional[dict] = None) -> str:
+                       compiler: Optional[dict] = None,
+                       strict: bool = False) -> str:
     """Digest of the workload's *resolved* parameters plus the input
     seed, so tiny and paper-scale runs of the same kernel — and runs of
     the same kernel with different ``--seed`` inputs — occupy distinct
@@ -101,6 +102,9 @@ def params_fingerprint(workload_name: str,
     execution path (``None`` for the reference interpreter): folding it in
     keeps compiled and ``--no-compile`` results on distinct cells, so a
     compiler bug can never poison an interpreter baseline (or vice versa).
+    ``strict`` (strict-mode static checking) is folded in the same way:
+    a strict run never loads a trace or result that a non-strict run
+    published without checking its trace.
     """
     workload = get_workload(canonical_workload(workload_name))
     resolved = workload.resolve(
@@ -109,6 +113,8 @@ def params_fingerprint(workload_name: str,
     resolved["__source__"] = source_fingerprint()
     if compiler is not None:
         resolved["__compiler__"] = compiler
+    if strict:
+        resolved["__strict__"] = True
     blob = json.dumps(resolved, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 

@@ -5,10 +5,13 @@ serial or fanned out over ``--jobs N`` worker processes.
 in-memory result, then the on-disk result cache (only when the runner
 was given a ``cache_root``), and otherwise simulates over a trace taken
 from memory, the on-disk trace cache or a fresh build (strict-checked
-when asked), plus a :class:`~repro.compiler.CompiledTrace` shared per
-``(workload, vlmax)``.  Traces depend only on (workload, vlmax), so
-EVE-1/2/4 — all with a 2048 hardware vector length — share one trace,
-and the IV/DV machines share the VL=64 trace and its compiled form.
+when asked), plus a :class:`~repro.compiler.CompiledTrace` (the
+trace's hoisted request lines) shared per ``(workload, vlmax)``.  Both
+disk keys fold in the strict-check flag, so a strict runner never loads
+what a non-strict one published.  Traces depend only on (workload,
+vlmax), so EVE-1/2/4 — all with a 2048 hardware vector length — share
+one trace, and the IV/DV machines share the VL=64 trace and its
+compiled form.
 Scalar systems run the workload's scalar trace.
 
 :meth:`ExperimentRunner.prefetch` maps that method over a cell list with
@@ -144,11 +147,14 @@ class ExperimentRunner:
         path = None
         if self.cache is not None:
             # Traces are compiler-independent, so the trace cache keys on
-            # the bare params fingerprint and is shared across compile modes.
+            # the bare params fingerprint and is shared across compile
+            # modes; strict runs key apart, so a trace that a non-strict
+            # run built unchecked is never served to a strict one.
             path = self.cache.trace_path(
                 workload_name, vlmax,
                 params_fingerprint(workload_name, self.params_override,
-                                   seed=self.seed))
+                                   seed=self.seed,
+                                   strict=self.strict_check))
         trace = self._load(path, "trace", info)
         if trace is None:
             workload = get_workload(workload_name)
@@ -173,11 +179,12 @@ class ExperimentRunner:
         cell, built once and shared by every system at that vlmax."""
         key = (workload_name, vlmax)
         if key not in self._compiled:
-            from ..compiler import CompilerConfig, compile_trace
+            # Looked up at call time, so a patched compile_trace (the
+            # benchmark probe's) sees every compile.
+            from ..compiler import compile_trace
             trace = self._trace(workload_name, vlmax)
-            config = CompilerConfig(strict=self.strict_check)
             with self.profiler.phase("compile"):
-                self._compiled[key] = compile_trace(trace, config)
+                self._compiled[key] = compile_trace(trace)
         return self._compiled[key]
 
     def _result_path(self, system: str, workload: str,
@@ -187,7 +194,8 @@ class ExperimentRunner:
         from ..compiler import compiler_descriptor
         params_fp = params_fingerprint(workload, self.params_override,
                                        seed=self.seed,
-                                       compiler=compiler_descriptor(compiles))
+                                       compiler=compiler_descriptor(compiles),
+                                       strict=self.strict_check)
         return self.cache.result_path(system, workload, params_fp,
                                       sweep_config_fingerprint(),
                                       instrumented=self.collect_metrics)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,6 +84,22 @@ class MemAccess:
 
     def total_bytes(self) -> int:
         return self.num_accesses * self.elem_bytes
+
+
+def request_lines(pattern: MemAccess, per_element: bool) -> List[int]:
+    """The cache-line request stream a machine issues for ``pattern``.
+
+    ``per_element`` (strided and indexed categories, see
+    :attr:`Category.per_element`) issues one request per element at the
+    line its address falls in, duplicates kept; otherwise one request
+    per distinct line in first-touch order.  Plain ints, so the
+    per-request simulation loops never touch numpy scalars.
+    """
+    if per_element:
+        raw = pattern.element_addresses() // LINE_BYTES * LINE_BYTES
+    else:
+        raw = pattern.line_addresses()
+    return raw.tolist()
 
 
 @_pickle_by_fields

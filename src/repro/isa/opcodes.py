@@ -28,6 +28,11 @@ class Category(enum.Enum):
     def is_memory(self) -> bool:
         return self in (Category.MEM_UNIT, Category.MEM_STRIDE, Category.MEM_INDEX)
 
+    @property
+    def per_element(self) -> bool:
+        """Memory categories issued as one request per element."""
+        return self in (Category.MEM_STRIDE, Category.MEM_INDEX)
+
 
 @dataclass(frozen=True)
 class OpInfo:

@@ -8,17 +8,20 @@ import json
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
 from repro.config import all_system_names
-from repro.errors import ExperimentError
+from repro.errors import AnalysisError, ExperimentError
 from repro.experiments import ExperimentRunner, sweep_pairs
 from repro.experiments.figures import geomean
 from repro.experiments.parallel import (CellCache, fan_out,
                                         params_fingerprint,
                                         sweep_config_fingerprint)
 from repro.experiments.systems import canonical_system
+from repro.faults import fuzz
+from repro.isa.intrinsics import VectorContext
 from repro.obs.diff import diff_records
 from repro.obs.runstore import RunStore, make_record
 from repro.obs.scorecard import build_scorecard, scorecard_pairs
@@ -241,6 +244,34 @@ class TestCellCache:
         assert second["result"].cycles == first["result"].cycles
         assert warm.cell_metrics("o3+eve-1", "VVADD") == (
             first["metrics_flat"], first["metrics_snapshot"])
+
+    def test_strict_runner_never_served_unchecked_cells(self, tmp_path,
+                                                       monkeypatch):
+        # vvadd is swapped for the known-dirty corpus trace mask_merge
+        # (a dead v0 write), which strict checking must refuse.
+        case = fuzz.load_case(os.path.join(
+            os.path.dirname(__file__), "corpus", "mask_merge.json"))
+        ctx = VectorContext(case.vlmax, name="mask_merge")
+        bufs = {name: ctx.vm.alloc_i32(
+                    name, np.array(vals, dtype=np.int64).astype(np.int32))
+                for name, vals in case.inputs.items()}
+        ctx.setvl(case.avl)
+        slots = []
+        for op in case.ops:
+            slots.append(fuzz._apply(ctx, op, slots, bufs))
+        dirty = ctx.finalize_trace()
+        monkeypatch.setattr(REGISTRY["vvadd"], "vector_trace",
+                            lambda *args, **kwargs: dirty)
+        root = str(tmp_path)
+        published = _runner(cache_root=root, strict_check=False).cell(
+            "O3+EVE-4", "vvadd")
+        assert published["cache"]["result"] == "miss"
+        assert (_count(root, "traces"), _count(root, "results")) == (1, 1)
+        # Neither the published result nor its unchecked trace may
+        # answer a strict runner on the same cache root.
+        with pytest.raises(AnalysisError, match="strict check"):
+            _runner(cache_root=root, strict_check=True).cell(
+                "O3+EVE-4", "vvadd")
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_source_change_misses_trace_and_result(self, tmp_path,
