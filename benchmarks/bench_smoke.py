@@ -22,10 +22,7 @@ runs it to catch host-time and determinism regressions in the hot paths
 An ``attribution-overhead`` leg additionally times O3+EVE-4 simulations
 with the cycle-attribution collector on vs off (min-of-3 each, same
 pre-built trace) and warns when the ratio exceeds a 10% budget — the
-null-hook pattern is supposed to make observability cheap.  A
-``telemetry-overhead`` leg does the same for the campaign event log
-(sweep prefetch with events on vs off, 5% budget) and cross-checks that
-the instrumented sweep's cycle counts match the uninstrumented one.
+null-hook pattern is supposed to make observability cheap.
 
 Unless ``--skip-sweep`` is given, it also wall-clocks the full systems x
 workloads sweep serially, fanned out over ``--jobs`` worker processes,
@@ -69,11 +66,6 @@ ANALYSIS_VLMAX = 2048
 #: ratio (attributed / uninstrumented simulation) it budgets for.
 ATTRIBUTION_WORKLOADS = ("backprop", "k-means")
 ATTRIBUTION_BUDGET = 1.10
-
-#: Host-time ratio (telemetry-on / telemetry-off prefetch) the campaign
-#: event log budgets for — event buffering happens outside the simulated
-#: cells, so it should be nearly free.
-TELEMETRY_BUDGET = 1.05
 
 #: Systems timed by the compiler-speedup leg (interpreter / compiled
 #: host seconds on the compiler-leg workload), and the advisory floor the
@@ -183,61 +175,6 @@ def time_compiler(full: bool):
                 and interp_result.instructions == compiled_result.instructions),
         }
     return out
-
-
-def time_telemetry(full: bool):
-    """Wall-clock the campaign-telemetry overhead on a serial sweep.
-
-    Telemetry-off prefetches vs runs with a full
-    :class:`CampaignTelemetry` hub (event log on a temp file) over the
-    same cell grid, fresh runners each round so neither side reuses warm
-    results (min-of-5: the tiny cells finish in milliseconds, so the
-    ratio needs a few rounds to shake off host-clock jitter).  The
-    ratio must stay within :data:`TELEMETRY_BUDGET`; the cycle counts
-    are cross-checked so an instrumented sweep can never drift from an
-    uninstrumented one unnoticed.
-    """
-    from repro.obs.events import NULL_TELEMETRY, CampaignTelemetry, EventLog
-
-    override = None if full else _tiny_override()
-    pairs = [(s, w) for w in ("vvadd", "pathfinder") for s in SYSTEMS]
-
-    def prefetch_once(telemetry_path):
-        telemetry = NULL_TELEMETRY
-        if telemetry_path is not None:
-            telemetry = CampaignTelemetry(
-                "bench", log=EventLog(telemetry_path))
-        runner = ExperimentRunner(params_override=override,
-                                  telemetry=telemetry)
-        start = time.perf_counter()
-        runner.prefetch(pairs)
-        elapsed = time.perf_counter() - start
-        if telemetry_path is not None:
-            telemetry.finalize()
-        return elapsed, {(s, w): runner.run(s, w).cycles for s, w in pairs}
-
-    log_dir = tempfile.mkdtemp(prefix="eve-bench-events-")
-    try:
-        plain = observed = float("inf")
-        plain_cycles = observed_cycles = None
-        for i in range(5):
-            seconds, plain_cycles = prefetch_once(None)
-            plain = min(plain, seconds)
-        for i in range(5):
-            seconds, observed_cycles = prefetch_once(
-                os.path.join(log_dir, f"events-{i}.jsonl"))
-            observed = min(observed, seconds)
-    finally:
-        shutil.rmtree(log_dir, ignore_errors=True)
-    overhead = observed / plain
-    return {
-        "cells": len(pairs),
-        "plain_seconds": plain,
-        "telemetry_seconds": observed,
-        "overhead": overhead,
-        "within_budget": overhead <= TELEMETRY_BUDGET,
-        "cycles_identical": plain_cycles == observed_cycles,
-    }
 
 
 def time_sweep(full: bool, jobs: int):
@@ -367,8 +304,6 @@ def main(argv=None) -> int:
     record.extra["attribution_overhead"] = attribution
     compiler = time_compiler(args.full)
     record.extra["compiler_speedup"] = compiler
-    telemetry = time_telemetry(args.full)
-    record.extra["telemetry_overhead"] = telemetry
     if not args.skip_sweep:
         sweep = time_sweep(args.full, args.jobs)
         record.extra["sweep"] = sweep
@@ -404,17 +339,6 @@ def main(argv=None) -> int:
         if not row["cycles_identical"]:
             print(f"WARNING: compiled-path results for {system} diverged "
                   "from the interpreter", file=sys.stderr)
-    print(f"telemetry ({telemetry['cells']} cells): off "
-          f"{telemetry['plain_seconds'] * 1e3:.1f} ms, on "
-          f"{telemetry['telemetry_seconds'] * 1e3:.1f} ms "
-          f"({telemetry['overhead']:.2f}x, budget {TELEMETRY_BUDGET:.2f}x), "
-          f"identical={telemetry['cycles_identical']}")
-    if not telemetry["within_budget"]:
-        print(f"WARNING: campaign-telemetry overhead exceeds the "
-              f"{TELEMETRY_BUDGET:.2f}x budget", file=sys.stderr)
-    if not telemetry["cycles_identical"]:
-        print("WARNING: telemetry-on sweep cycles diverged from the "
-              "telemetry-off sweep", file=sys.stderr)
     sweep = record.extra.get("sweep")
     if sweep:
         print(f"sweep ({sweep['cells']} cells, {sweep['jobs']} worker(s), "

@@ -74,16 +74,6 @@ Commands
 ``scorecard``
     Run the Figure 6 / Table IV / Figure 7 / Figure 8 harnesses and
     grade every datapoint against the paper's published values.
-``events``
-    Inspect a campaign event log (``--tail N``, ``--json``,
-    ``--campaign ID``); ``--check`` exits non-zero when any unit
-    violates the exactly-one-terminal-event conservation invariant;
-    ``--follow`` streams events as campaigns append them (tail -f).
-``report``
-    Render the self-contained offline HTML dashboard (run history,
-    scorecard grades, metric trend sparklines with regression badges,
-    campaign telemetry, attribution excerpt) from the run store and an
-    optional event log.
 ``cache``
     Inspect the on-disk cell cache (entry/byte census incl. quarantined
     ``*.corrupt`` files) and prune it least-recently-used-first to a
@@ -97,16 +87,13 @@ test-sized problem inputs.  ``run`` / ``compare`` / ``stats`` accept
 ``compare`` / ``sweep`` / ``scorecard`` accept ``--jobs N`` to fan the
 (system, workload) cells out over N worker processes, and use the
 on-disk cell cache (``--cache-dir`` / ``--no-cache``) at any ``--jobs``;
-results are bit-identical to a serial, uncached run.  ``run`` /
-``compare`` / ``sweep`` accept ``--seed N`` to vary the generated
-workload inputs; the seed is folded into cache keys and record
-fingerprints so seeded runs never collide with the default-seed
-results.  ``sweep`` / ``compare`` / ``fuzz`` /
-``faults`` accept ``--events [FILE]`` (append the campaign's lifecycle
-events to a JSONL log), ``--progress`` (force the live progress line
-even without a TTY), and ``--quiet`` (suppress it); telemetry never
-changes simulation results — a telemetry-on sweep is byte-identical to
-a telemetry-off one.
+results are bit-identical to a serial, uncached run.  Their only
+progress report is the one-line ``sweep:`` tally on stderr once every
+cell is produced.  ``run`` / ``compare`` / ``sweep`` accept ``--seed N``
+to vary the generated workload inputs; the seed is folded into cache
+keys and record fingerprints so seeded runs never collide with the
+default-seed results.  Count arguments (``history --limit``, ``fuzz
+--seeds``, ``attribute`` / ``bottleneck --top``) must be at least 1.
 """
 
 from __future__ import annotations
@@ -114,7 +101,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from typing import List, Optional
 
 from . import __version__
@@ -125,21 +111,15 @@ from .experiments import (ExperimentRunner, format_table,
                           sweep_result_payload)
 from .experiments.figures import ALL_APPS, area_table, figure2, table3
 from .experiments.parallel import (DEFAULT_CACHE_ROOT, cache_stats,
-                                   prune_cache, sweep_config_fingerprint,
-                                   sweep_pairs)
+                                   prune_cache, sweep_pairs)
 from .experiments.systems import canonical_system as _canonical_system
 from .faults.inject import FAULT_MODELS
 from .obs import MetricsRegistry, SelfProfiler, SpanTracer
 from .obs.diff import DEFAULT_SPEEDUP_BUDGET, diff_records
-from .obs.events import (DEFAULT_EVENTS_PATH, CampaignTelemetry, EventLog,
-                         NULL_TELEMETRY, Watchdog, campaign_summaries,
-                         check_conservation, follow_events, read_events)
-from .obs.htmlreport import write_report
-from .obs.progress import make_progress
 from .obs.render import emit_csv, emit_json, findings_json, write_json
-from .obs.runstore import DEFAULT_ROOT, RunRecord, RunStore, make_record
+from .obs.runstore import (DEFAULT_ROOT, RunRecord, RunStore,
+                           filter_history, make_record)
 from .obs.scorecard import FIGURES, build_scorecard, scorecard_pairs
-from .obs.trend import filter_history, historical_cell_seconds
 from .uops import MacroOpRom, assemble, disassemble, lint_program, lint_rom
 from .workloads import DEFAULT_SEED, REGISTRY, tiny_overrides
 from .workloads import canonical_workload as _canonical_workload
@@ -147,8 +127,7 @@ from .workloads import canonical_workload as _canonical_workload
 EVE_FACTORS = (1, 2, 4, 8, 16, 32)
 
 
-def _make_runner(args, collect_metrics: bool = False,
-                 telemetry=None) -> ExperimentRunner:
+def _make_runner(args, collect_metrics: bool = False) -> ExperimentRunner:
     override = tiny_overrides() if getattr(args, "tiny", False) else None
     seed = getattr(args, "seed", None)
     if seed is None:
@@ -158,54 +137,9 @@ def _make_runner(args, collect_metrics: bool = False,
                   else getattr(args, "cache_dir", None))
     return ExperimentRunner(
         params_override=override, seed=seed,
-        telemetry=telemetry if telemetry is not None else NULL_TELEMETRY,
         compile_traces=getattr(args, "compile", True),
         jobs=getattr(args, "jobs", 1), cache_root=cache_root,
         collect_metrics=collect_metrics)
-
-
-def _make_telemetry(args, kind: str) -> Optional[CampaignTelemetry]:
-    """Build the campaign telemetry hub from ``--events`` / ``--progress``
-    / ``--quiet``, or return ``None`` (the zero-cost default) when
-    neither an event log nor a live progress display is wanted.
-
-    Progress auto-detects: on by default when stderr is a TTY, off
-    otherwise (scripts, tests, CI) unless ``--progress`` forces it.
-    """
-    events_path = getattr(args, "events", None)
-    quiet = getattr(args, "quiet", False)
-    force = getattr(args, "progress", False)
-    progress = make_progress(kind, quiet=quiet, force=force)
-    if events_path is None and progress is None:
-        return None
-    hint = None
-    try:
-        hint = historical_cell_seconds(
-            RunStore(getattr(args, "store", DEFAULT_ROOT)))
-    except RunStoreError:
-        hint = None  # a corrupt store must not kill the campaign
-    if progress is not None:
-        progress.hint_seconds = hint
-    log = EventLog(events_path) if events_path else None
-    return CampaignTelemetry(kind, log=log, progress=progress,
-                             watchdog=Watchdog(hint_seconds=hint),
-                             fingerprint=sweep_config_fingerprint())
-
-
-def _finalize_telemetry(telemetry: Optional[CampaignTelemetry]) -> None:
-    """Seal the campaign (idempotent); called from ``finally`` blocks so
-    even an aborted campaign persists the events it buffered."""
-    if telemetry is None:
-        return
-    summary = telemetry.finalize()
-    if summary.get("written"):
-        print(f"events: {summary['written']} event(s) "
-              f"[campaign {summary['campaign']}] -> {summary['log_path']}",
-              file=sys.stderr)
-    if summary.get("stalled"):
-        print(f"WARNING: {len(summary['stalled'])} unit(s) exceeded the "
-              f"watchdog threshold: {', '.join(summary['stalled'][:5])}",
-              file=sys.stderr)
 
 
 def _fingerprint_extra(runner: ExperimentRunner):
@@ -343,14 +277,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     want_metrics = bool(args.metrics_out) or _recording(args)
-    telemetry = _make_telemetry(args, "compare")
-    runner = _make_runner(args, collect_metrics=want_metrics,
-                          telemetry=telemetry)
-    try:
-        _prefetch(runner, [(system, args.workload)
-                           for system in all_system_names()])
-    finally:
-        _finalize_telemetry(telemetry)
+    runner = _make_runner(args, collect_metrics=want_metrics)
+    _prefetch(runner, [(system, args.workload)
+                       for system in all_system_names()])
     base = runner.run("IO", args.workload)
     per_system = {}
     metrics_out = {}
@@ -404,15 +333,11 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    telemetry = _make_telemetry(args, "sweep")
-    runner = _make_runner(args, telemetry=telemetry)
+    runner = _make_runner(args)
     systems = args.systems or all_system_names()
     workloads = args.workloads or sorted(REGISTRY)
     pairs = sweep_pairs(systems, workloads)
-    try:
-        stats = _prefetch(runner, pairs)
-    finally:
-        _finalize_telemetry(telemetry)
+    stats = _prefetch(runner, pairs)
     disk_cache = {"hits": stats["cache_hits"],
                   "misses": stats["cache_misses"],
                   "corrupt": stats["cache_corrupt"]}
@@ -702,9 +627,6 @@ def _cmd_stats(args) -> int:
 
 def _cmd_history(args) -> int:
     store = RunStore(args.store)
-    # The workload/system filters share the trend analytics' helpers, so
-    # `repro history --workload vvadd` selects exactly the records a
-    # vvadd trend line would be computed over.
     rows_data = filter_history(store, kind=args.kind,
                                workload=args.workload, system=args.system,
                                limit=args.limit)
@@ -961,22 +883,15 @@ def _cmd_fuzz(args) -> int:
                   f"{len(case.ops)} ops) at n in {list(widths)}: {verdict}")
         return 1 if failures else 0
 
-    telemetry = _make_telemetry(args, "fuzz")
-
     def progress(done: int, total: int, found: int) -> None:
-        if telemetry is not None:
-            return  # the live renderer owns stderr
         if done % 50 == 0 or done == total:
             print(f"fuzz: {done}/{total} seeds checked, "
                   f"{found} mismatch(es)", file=sys.stderr)
 
-    try:
-        mismatches = fuzz_many(args.seeds, master_seed=args.seed,
-                               widths=widths, vlmax=args.vlmax,
-                               num_ops=args.ops, out_dir=args.out_dir,
-                               progress=progress, telemetry=telemetry)
-    finally:
-        _finalize_telemetry(telemetry)
+    mismatches = fuzz_many(args.seeds, master_seed=args.seed,
+                           widths=widths, vlmax=args.vlmax,
+                           num_ops=args.ops, out_dir=args.out_dir,
+                           progress=progress)
     if args.json:
         emit_json({"seeds": args.seeds, "master_seed": args.seed,
                    "widths": list(widths),
@@ -1005,15 +920,9 @@ def _cmd_faults(args) -> int:
     models = None if args.model == "all" else [args.model]
     metrics = MetricsRegistry() if _recording(args) else None
     profiler = SelfProfiler()
-    telemetry = _make_telemetry(args, "faults")
-    try:
-        report = run_campaign(args.count, models=models, factors=factors,
-                              seed=args.seed, jobs=args.jobs,
-                              profiler=profiler, metrics=metrics,
-                              telemetry=(telemetry if telemetry is not None
-                                         else NULL_TELEMETRY))
-    finally:
-        _finalize_telemetry(telemetry)
+    report = run_campaign(args.count, models=models, factors=factors,
+                          seed=args.seed, jobs=args.jobs,
+                          profiler=profiler, metrics=metrics)
     payload = report.to_json_dict()
     if args.json:
         emit_json(payload)
@@ -1055,62 +964,6 @@ def _cmd_faults(args) -> int:
     return _finish_record(args, record)
 
 
-def _cmd_events(args) -> int:
-    if args.follow:
-        # Tail-mode: stream events as campaigns append them (each
-        # --events campaign writes its events at finalize).  Ctrl-C exits
-        # via main's KeyboardInterrupt handler (130).
-        print(f"following {args.log} (Ctrl-C to stop)...", file=sys.stderr)
-        for event in follow_events(args.log, campaign=args.campaign):
-            detail = f"  {event.detail}" if event.detail else ""
-            print(f"{event.t:9.3f}  {event.event:<17} {event.unit:<28} "
-                  f"[{event.worker}]{detail}", flush=True)
-        return 0
-    events = read_events(args.log, campaign=args.campaign)
-    violations = check_conservation(events)
-    summaries = campaign_summaries(events)
-    shown = events[-args.tail:] if args.tail else events
-    if args.json:
-        emit_json({"log": args.log, "total": len(events),
-                   "campaigns": summaries,
-                   "conserved": not violations, "violations": violations,
-                   "events": [e.to_json_dict() for e in shown]})
-    else:
-        rows = [[s["campaign"], s["kind"] or "-", s["units"], s["events"],
-                 f"{s['cache']['hits']}/{s['cache']['corrupt']}",
-                 len(s["stalled_units"]),
-                 "ok" if s["conserved"] else "VIOLATED"]
-                for s in summaries]
-        print(format_table(
-            ["campaign", "kind", "units", "events", "cache hit/corrupt",
-             "stalls", "conservation"], rows))
-        print()
-        for event in shown:
-            detail = f"  {event.detail}" if event.detail else ""
-            print(f"{event.t:9.3f}  {event.event:<17} {event.unit:<28} "
-                  f"[{event.worker}]{detail}")
-        if args.tail and len(events) > len(shown):
-            print(f"  (showing last {len(shown)} of {len(events)} "
-                  f"event(s); --tail 0 for all)")
-    if violations:
-        for violation in violations:
-            print(f"conservation: {violation}", file=sys.stderr)
-    if args.check:
-        return 1 if violations else 0
-    return 0
-
-
-def _cmd_report(args) -> int:
-    store = RunStore(args.store)
-    events = read_events(args.log) if os.path.exists(args.log) else []
-    size = write_report(args.output, store, events, last=args.last,
-                        generated=time.strftime("%Y-%m-%dT%H:%M:%S"))
-    records = len(list(store.records()))
-    print(f"report: {args.output} ({size} bytes; {records} record(s), "
-          f"{len(events)} event(s)) — self-contained, open in any browser")
-    return 0
-
-
 def _cmd_cache(args) -> int:
     stats = cache_stats(args.cache_dir)
     pruned = None
@@ -1148,6 +1001,15 @@ def _worker_count(text: str) -> int:
     return count
 
 
+def _positive_count(text: str) -> int:
+    """argparse type of a count that must be at least 1 (``--limit``,
+    ``--seeds``, ``--top``)."""
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
+
+
 def _add_jobs_arguments(sub) -> None:
     sub.add_argument("--jobs", type=_worker_count, default=1, metavar="N",
                      help="simulate (system, workload) cells on N worker "
@@ -1168,20 +1030,6 @@ def _add_record_arguments(sub) -> None:
                           "exits non-zero on regression")
     sub.add_argument("--store", default=DEFAULT_ROOT, metavar="DIR",
                      help=f"run-store directory (default: {DEFAULT_ROOT})")
-
-
-def _add_telemetry_arguments(sub) -> None:
-    sub.add_argument("--events", nargs="?", const=DEFAULT_EVENTS_PATH,
-                     default=None, metavar="FILE",
-                     help="append campaign lifecycle events to a JSONL log "
-                          f"(default FILE: {DEFAULT_EVENTS_PATH}; inspect "
-                          f"with 'repro events')")
-    live = sub.add_mutually_exclusive_group()
-    live.add_argument("--progress", action="store_true",
-                      help="force the live progress line even when stderr "
-                           "is not a TTY (default: auto-detect)")
-    live.add_argument("--quiet", action="store_true",
-                      help="suppress the live progress display")
 
 
 def _add_compile_argument(sub) -> None:
@@ -1243,7 +1091,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed_argument(compare)
     _add_jobs_arguments(compare)
     _add_record_arguments(compare)
-    _add_telemetry_arguments(compare)
 
     sweep = sub.add_parser(
         "sweep", help="simulate a systems x workloads cross-product, "
@@ -1265,7 +1112,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed_argument(sweep)
     _add_jobs_arguments(sweep)
     _add_record_arguments(sweep)
-    _add_telemetry_arguments(sweep)
 
     trace = sub.add_parser(
         "trace", help="export a Perfetto/Chrome timeline trace of one run")
@@ -1289,7 +1135,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "checked), timed critical path, and ranked "
                           "bottlenecks")
     _add_pair_arguments(attribute)
-    attribute.add_argument("--top", type=int, default=10, metavar="K",
+    attribute.add_argument("--top", type=_positive_count, default=10,
+                           metavar="K",
                            help="instructions / families to rank "
                                 "(default: 10)")
     attribute.add_argument("--flame-out", default=None, metavar="FILE",
@@ -1321,7 +1168,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(default: all)")
     bottleneck.add_argument("--tiny", action="store_true",
                             help="use the test-sized problem inputs")
-    bottleneck.add_argument("--top", type=int, default=5, metavar="K",
+    bottleneck.add_argument("--top", type=_positive_count, default=5,
+                            metavar="K",
                             help="rank depth per cell in --json output "
                                  "(default: 5)")
     bottleneck.add_argument("--json", action="store_true",
@@ -1330,7 +1178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     history = sub.add_parser(
         "history", help="list the archived run records")
-    history.add_argument("-n", "--limit", type=int, default=None,
+    history.add_argument("-n", "--limit", type=_positive_count, default=None,
                          help="show only the N most recent records")
     history.add_argument("--kind", default=None,
                          help="restrict to one record kind "
@@ -1448,7 +1296,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz = sub.add_parser(
         "fuzz", help="differentially fuzz the micro-programmed engine "
                      "against the numpy oracle at every segment width")
-    fuzz.add_argument("--seeds", type=int, default=200, metavar="N",
+    fuzz.add_argument("--seeds", type=_positive_count, default=200,
+                      metavar="N",
                       help="number of generated cases (default: 200)")
     fuzz.add_argument("--seed", type=int, default=0, metavar="N",
                       help="master seed the per-case seeds derive from "
@@ -1469,7 +1318,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "JSON under DIR")
     fuzz.add_argument("--json", action="store_true",
                       help="machine-readable mismatch report")
-    _add_telemetry_arguments(fuzz)
 
     faults = sub.add_parser(
         "faults", help="run a seeded fault-injection campaign and "
@@ -1496,41 +1344,6 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--json-out", default=None, metavar="FILE",
                         help="also write the JSON report to FILE")
     _add_record_arguments(faults)
-    _add_telemetry_arguments(faults)
-
-    events = sub.add_parser(
-        "events", help="inspect a campaign event log (conservation check, "
-                       "per-campaign rollups, raw tail)")
-    events.add_argument("--log", default=DEFAULT_EVENTS_PATH, metavar="FILE",
-                        help="event log to read "
-                             f"(default: {DEFAULT_EVENTS_PATH})")
-    events.add_argument("--tail", type=int, default=None, metavar="N",
-                        help="show only the last N events "
-                             "(default: all of them)")
-    events.add_argument("--campaign", default=None, metavar="ID",
-                        help="restrict to one campaign id")
-    events.add_argument("--json", action="store_true",
-                        help="machine-readable events + campaign rollups")
-    events.add_argument("--check", action="store_true",
-                        help="exit non-zero when any unit violates the "
-                             "exactly-one-terminal-event invariant")
-    events.add_argument("--follow", action="store_true",
-                        help="stream events as they are appended "
-                             "(tail -f mode; Ctrl-C to stop)")
-
-    report = sub.add_parser(
-        "report", help="render the self-contained offline HTML dashboard "
-                       "from the run store and event log")
-    report.add_argument("-o", "--output", default="report.html",
-                        metavar="FILE",
-                        help="HTML file to write (default: report.html)")
-    report.add_argument("--log", default=DEFAULT_EVENTS_PATH, metavar="FILE",
-                        help="event log to include, if present "
-                             f"(default: {DEFAULT_EVENTS_PATH})")
-    report.add_argument("--last", type=int, default=20, metavar="N",
-                        help="records per trend line (default: 20)")
-    report.add_argument("--store", default=DEFAULT_ROOT, metavar="DIR",
-                        help=f"run-store directory (default: {DEFAULT_ROOT})")
 
     cache = sub.add_parser(
         "cache", help="inspect or prune the on-disk cell cache")
@@ -1572,8 +1385,6 @@ _COMMANDS = {
     "figure": _cmd_figure,
     "fuzz": _cmd_fuzz,
     "faults": _cmd_faults,
-    "events": _cmd_events,
-    "report": _cmd_report,
     "cache": _cmd_cache,
 }
 

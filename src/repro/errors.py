@@ -83,12 +83,6 @@ class AnalysisError(ReproError):
         self.findings = tuple(findings)
 
 
-class EventLogError(ReproError):
-    """A telemetry event is malformed, the event log is corrupt, or an
-    event-stream invariant (schema version, known kinds, watchdog
-    configuration) is violated."""
-
-
 class FaultInjectionError(ReproError):
     """A fault-injection or fuzzing request is malformed (unknown fault
     model, unreplayable case file, or an unarmable fault target)."""

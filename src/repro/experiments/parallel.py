@@ -30,13 +30,11 @@ both publish identical content and the last rename wins.
 from __future__ import annotations
 
 import contextlib
-import functools
 import hashlib
 import json
 import multiprocessing
 import os
 import pickle
-import time
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..config import all_system_names
@@ -124,8 +122,8 @@ _CONFIG_FP: Optional[str] = None
 
 def sweep_config_fingerprint() -> str:
     """Digest of every Table III system config plus the toolkit version
-    — the result-cache directory and the campaign event fingerprint.
-    Computed once per process (configs are fixed at import time)."""
+    — the result-cache directory.  Computed once per process (configs are
+    fixed at import time)."""
     global _CONFIG_FP
     if _CONFIG_FP is None:
         from .. import __version__
@@ -153,7 +151,7 @@ class CellCache:
     entries — present but unreadable pickles — are distinguished from
     misses, quarantined in place (renamed to ``<path>.corrupt``, never
     deleted, so the evidence survives for a post-mortem), and reported
-    to the caller so the sweep's cache telemetry can count them.
+    to the caller so the sweep can count them.
     Stores are atomic (unique temp + ``os.replace``).
     """
 
@@ -298,54 +296,9 @@ def prune_cache(root: str = DEFAULT_CACHE_ROOT,
 
 # -- the generic fan-out -------------------------------------------------------
 
-def _observed_call(func: Callable, spec) -> Dict[str, object]:
-    """Run one unit inside a worker, capturing what telemetry needs.
-
-    This is the "workers stream events over the pool's result channel"
-    half of the telemetry design: rather than opening a side channel,
-    each worker wraps its return value with raw monotonic start/end
-    timestamps (system-wide on the hosts we target, so directly
-    comparable to the parent's clock), its pid, and any exception — the
-    parent replays these as ``started`` / terminal events.  Exceptions
-    are captured, not raised, so one failed unit cannot tear down the
-    pool before its siblings report.
-    """
-    t0 = time.monotonic()
-    value = error = None
-    try:
-        value = func(spec)
-    except Exception as exc:  # replayed + re-raised by the parent
-        error = exc
-    return {"value": value, "error": error, "t0": t0,
-            "t1": time.monotonic(), "pid": os.getpid()}
-
-
-def _drain_observed(results: List, monitor,
-                    poll_seconds: float = 0.05) -> List[Dict[str, object]]:
-    """Collect ``apply_async`` observations, feeding the monitor live.
-
-    Completions are reported to ``monitor.on_complete`` *as they land*
-    (completion order — only live progress/heartbeat state depends on
-    it); the returned list is input-ordered, so the downstream merge
-    stays deterministic.
-    """
-    observed: List[Optional[Dict[str, object]]] = [None] * len(results)
-    pending = set(range(len(results)))
-    while pending:
-        landed = [i for i in sorted(pending) if results[i].ready()]
-        for i in landed:
-            pending.discard(i)
-            observed[i] = results[i].get()
-            monitor.on_complete(i, observed[i])
-        monitor.poll()
-        if pending and not landed:
-            time.sleep(poll_seconds)
-    return observed
-
-
 def fan_out(func: Callable, specs: Sequence, jobs: int,
             profiler: Optional[SelfProfiler] = None,
-            phase: str = "fan_out", monitor=None) -> List:
+            phase: str = "fan_out") -> List:
     """Map a picklable ``func`` over ``specs`` with a process pool.
 
     The shared executor behind :meth:`ExperimentRunner.prefetch` and the
@@ -355,58 +308,26 @@ def fan_out(func: Callable, specs: Sequence, jobs: int,
     differ in cost by orders of magnitude.  Each call starts a fresh pool
     and always reaps it: closed and joined on success, terminated and
     joined on any error (KeyboardInterrupt included), so no worker
-    outlives the fan-out.
-
-    ``monitor`` (e.g. :class:`repro.obs.events.TelemetryMonitor`) opts a
-    call into observed execution: every unit is wrapped by
-    :func:`_observed_call`, ``monitor.on_dispatch(i)`` fires as specs
-    are submitted, ``monitor.on_complete(i, observation)`` as results
-    land, and ``monitor.poll()`` between completion checks (heartbeats,
-    stall detection).  Worker exceptions are re-raised parent-side after
-    the monitor has seen every unit's fate, preserving the unmonitored
-    path's error semantics.  With ``monitor=None`` the pre-telemetry
-    code path runs unchanged (``pool.map``) — the zero-cost guarantee.
+    outlives the fan-out.  A worker exception propagates to the caller.
     """
     if not specs:
         return []
     span = (profiler.phase(phase) if profiler is not None
             else contextlib.nullcontext())
-    wrapped = functools.partial(_observed_call, func)
     with span:
         if jobs <= 1 or len(specs) == 1:
-            if monitor is None:
-                return [func(spec) for spec in specs]
-            observed = []
-            for i, spec in enumerate(specs):
-                monitor.on_dispatch(i)
-                obs = wrapped(spec)
-                observed.append(obs)
-                monitor.on_complete(i, obs)
-                monitor.poll()
-        else:
-            ctx = multiprocessing.get_context(START_METHOD)
-            pool = ctx.Pool(processes=min(jobs, len(specs)))
-            try:
-                if monitor is None:
-                    values = pool.map(func, specs, chunksize=1)
-                else:
-                    handles = []
-                    for i, spec in enumerate(specs):
-                        handles.append(pool.apply_async(wrapped, (spec,)))
-                        monitor.on_dispatch(i)
-                    observed = _drain_observed(handles, monitor)
-                pool.close()
-            except BaseException:
-                pool.terminate()
-                raise
-            finally:
-                pool.join()
-            if monitor is None:
-                return values
-    for obs in observed:  # first failure wins, in input order
-        if obs["error"] is not None:
-            raise obs["error"]
-    return [obs["value"] for obs in observed]
+            return [func(spec) for spec in specs]
+        ctx = multiprocessing.get_context(START_METHOD)
+        pool = ctx.Pool(processes=min(jobs, len(specs)))
+        try:
+            values = pool.map(func, specs, chunksize=1)
+            pool.close()
+        except BaseException:
+            pool.terminate()
+            raise
+        finally:
+            pool.join()
+        return values
 
 
 # -- sweep cells ---------------------------------------------------------------

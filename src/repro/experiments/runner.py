@@ -38,7 +38,6 @@ from typing import Dict, Optional, Tuple
 
 from ..cores.result import SimResult
 from ..isa.trace import Trace
-from ..obs.events import NULL_TELEMETRY, TelemetryMonitor
 from ..obs.metrics import MetricsRegistry
 from ..obs.selfprof import SelfProfiler
 from ..obs.tracer import SpanTracer
@@ -74,14 +73,18 @@ def canonical_pairs(pairs) -> list:
 
 class ExperimentRunner:
     """Runs (system, workload) cells, caching traces, compiled traces and
-    results in memory and, given a ``cache_root``, on disk."""
+    results in memory and, given a ``cache_root``, on disk.
+
+    A sweep reports itself only through the tally :meth:`prefetch`
+    returns (cells simulated vs cached, disk-cache hits, misses and
+    quarantined corrupt entries); nothing observes cells while they run.
+    """
 
     def __init__(self, params_override: Optional[Dict[str, dict]] = None,
                  verify: bool = True,
                  profiler: Optional[SelfProfiler] = None,
                  seed: int = DEFAULT_SEED,
                  strict_check: Optional[bool] = None,
-                 telemetry=NULL_TELEMETRY,
                  compile_traces: bool = True,
                  jobs: int = 1,
                  cache_root: Optional[str] = None,
@@ -93,11 +96,6 @@ class ExperimentRunner:
         self.verify = verify
         self.seed = seed
         self.profiler = profiler or SelfProfiler()
-        #: Campaign telemetry hub (:data:`~repro.obs.events.NULL_TELEMETRY`
-        #: by default — the zero-cost null-hook pattern; pass a
-        #: :class:`~repro.obs.events.CampaignTelemetry` to stream
-        #: per-cell lifecycle events from :meth:`prefetch`).
-        self.telemetry = telemetry
         #: Run the static hazard checkers on every freshly built vector
         #: trace and refuse to simulate a failing one.  ``None`` defers to
         #: the ``EVE_STRICT_CHECK`` environment variable (off by default
@@ -216,7 +214,7 @@ class ExperimentRunner:
         ``workload``, ``result``, ``metrics_flat`` / ``metrics_snapshot``
         (``None`` unless captured), ``cached`` (served without
         simulating) and ``cache`` (the disk statuses and quarantined
-        paths :func:`describe_cell` reports).
+        paths :meth:`prefetch` counts).
         """
         system = canonical_system(system_name)
         workload = canonical_workload(workload_name)
@@ -263,7 +261,7 @@ class ExperimentRunner:
 
     def _worker_config(self) -> Dict[str, object]:
         """Constructor arguments of a pool worker's runner: picklable
-        inputs only (telemetry and the profiler stay in this process)."""
+        inputs only (the profiler stays in this process)."""
         return {"params_override": self.params_override,
                 "verify": self.verify, "seed": self.seed,
                 "strict_check": self.strict_check,
@@ -286,13 +284,6 @@ class ExperimentRunner:
         start = time.perf_counter()
         ordered = canonical_pairs(pairs)
         todo = [key for key in ordered if key not in self._results]
-        monitor = None
-        if self.telemetry.enabled and todo:
-            units = [f"{system}/{workload}" for system, workload in todo]
-            self.telemetry.begin(units)
-            monitor = TelemetryMonitor(self.telemetry, units,
-                                       describe=describe_cell,
-                                       jobs=self.jobs)
         # fan_out runs jobs == 1 and single-cell lists in this process,
         # where this runner's own caches serve; only a pool needs the
         # picklable worker entry point.
@@ -302,7 +293,7 @@ class ExperimentRunner:
             def produce(pair):
                 return self.cell(*pair)
         outs = fan_out(produce, todo, self.jobs, profiler=self.profiler,
-                       phase="sweep", monitor=monitor)
+                       phase="sweep")
         hits = corrupt = 0
         for out in outs:  # input order: the merge is deterministic
             self._publish((out["system"], out["workload"]), out)
@@ -372,14 +363,3 @@ def _worker_cell(config: Dict[str, object],
     payload = runner.cell(*pair)
     payload["profile"] = runner.profiler.as_dict()
     return payload
-
-
-def describe_cell(payload: Dict[str, object]):
-    """Telemetry view of one :meth:`ExperimentRunner.cell` payload:
-    ``(cached, extra_events, detail)`` for
-    :meth:`repro.obs.events.CampaignTelemetry.unit_finished`."""
-    extra = tuple(("cache_corrupt", {"path": path})
-                  for path in payload["cache"]["corrupt_paths"])
-    detail = {"system": payload["system"], "workload": payload["workload"],
-              "cycles": payload["result"].cycles}
-    return payload["cached"], extra, detail

@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import FaultInjectionError, MicroExecutionError
 from ..experiments.parallel import fan_out
-from ..obs.events import NULL_TELEMETRY, TelemetryMonitor
 from .fuzz import (
     DEFAULT_OPS,
     FUZZ_WIDTHS,
@@ -213,20 +212,11 @@ class CampaignReport:
         }
 
 
-def _describe_injection(out: dict):
-    """Telemetry view of one worker outcome dict: never cached, no
-    extra events, the classification as the terminal detail."""
-    return False, (), {"outcome": out.get("outcome"),
-                       "model": out.get("model"),
-                       "factor": out.get("factor"),
-                       "fired": bool(out.get("fired"))}
-
-
 def run_campaign(count: int, *, models: Optional[Sequence[str]] = None,
                  factors: Sequence[int] = FUZZ_WIDTHS, seed: int = 0,
                  jobs: int = 1, vlmax: Optional[int] = 16,
                  num_ops: int = DEFAULT_OPS, profiler=None,
-                 metrics=None, telemetry=NULL_TELEMETRY) -> CampaignReport:
+                 metrics=None) -> CampaignReport:
     """Fan ``count`` seeded injections over the pool and classify each.
 
     Fault models and segment widths are round-robined so every
@@ -234,9 +224,7 @@ def run_campaign(count: int, *, models: Optional[Sequence[str]] = None,
     seeds both derive from ``seed``, making the whole campaign — including
     every classification — reproducible bit-for-bit.  ``metrics`` (a
     :class:`~repro.obs.metrics.MetricsRegistry`) receives counters under
-    the reserved ``faults`` namespace; ``telemetry`` (a
-    :class:`~repro.obs.events.CampaignTelemetry`) streams one
-    ``inj:<index>`` unit per injection.
+    the reserved ``faults`` namespace.
     """
     if count <= 0:
         raise FaultInjectionError("campaign count must be positive")
@@ -252,14 +240,8 @@ def run_campaign(count: int, *, models: Optional[Sequence[str]] = None,
         specs.append((i, case_seed, vlmax, num_ops,
                       factors[i % len(factors)], models[i % len(models)],
                       injection_seed))
-    monitor = None
-    if telemetry.enabled:
-        units = [f"inj:{spec[0]}" for spec in specs]
-        telemetry.begin(units)
-        monitor = TelemetryMonitor(telemetry, units,
-                                   describe=_describe_injection, jobs=jobs)
     raw = fan_out(_run_injection, specs, jobs, profiler=profiler,
-                  phase="faults", monitor=monitor)
+                  phase="faults")
     outcomes = [InjectionOutcome(**out) for out in raw]
     report = CampaignReport(seed=seed, count=count, models=models,
                             factors=factors, outcomes=outcomes)

@@ -11,7 +11,8 @@
   simulator's own host wall-clock time per phase.
 * :mod:`repro.obs.runstore` — :class:`RunStore` archiving every run as a
   schema-versioned :class:`RunRecord` (append-only JSONL under
-  ``.eve-runs/``), so results form a longitudinal time series.
+  ``.eve-runs/``), so results form a longitudinal time series;
+  :func:`filter_history` selects the records ``repro history`` lists.
 * :mod:`repro.obs.diff` — record differ with per-metric tolerance
   policies (exact / relative / direction-aware) for regression gating.
 * :mod:`repro.obs.scorecard` — paper-fidelity scorecard grading the
@@ -25,21 +26,10 @@
   slack, and ranked bottleneck reports over the attributed timeline.
 * :mod:`repro.obs.flame` — folded-stack flamegraph / Perfetto counter
   exports and the flattened record payload for drift gating.
-* :mod:`repro.obs.events` — campaign telemetry: schema-versioned JSONL
-  :class:`EventLog` of per-unit lifecycle events, the
-  :class:`CampaignTelemetry` hub with deterministic merge, the stall
-  :class:`Watchdog`, and the conservation checker.
-* :mod:`repro.obs.progress` — TTY-aware live :class:`ProgressRenderer`
-  with ETA from historical per-cell wall-clock.
-* :mod:`repro.obs.trend` — longitudinal per-metric trends over the run
-  store, classified under the diff gate's tolerance policies.
-* :mod:`repro.obs.htmlreport` — the self-contained offline HTML
-  dashboard behind ``repro report``.
 
 Everything is zero-cost when disabled: machine models hold the
 :data:`NULL_TRACER` / :data:`NULL_METRICS` singletons by default and guard
-hot hook sites with their ``enabled`` flags; campaign drivers hold
-:data:`NULL_TELEMETRY` the same way.
+hot hook sites with their ``enabled`` flags.
 """
 
 from .attribution import (AttributionCollector, NULL_ATTRIBUTION,
@@ -50,24 +40,15 @@ from .critpath import (BottleneckEntry, BottleneckReport, CriticalPath,
                        timed_critical_path)
 from .diff import (DiffEntry, RecordDiff, TolerancePolicy, default_policies,
                    diff_records, policy_for)
-from .events import (CampaignTelemetry, EVENT_SCHEMA_VERSION, Event,
-                     EventLog, NULL_TELEMETRY, NullTelemetry,
-                     TERMINAL_EVENTS, TelemetryMonitor, Watchdog,
-                     campaign_summaries, check_conservation, follow_events,
-                     read_events)
 from .flame import (attribution_record_payload, counter_trace_dict,
                     folded_stacks, write_folded)
-from .htmlreport import build_report, write_report
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       NULL_METRICS, NullMetricsRegistry, bucket_index)
-from .progress import ProgressRenderer, make_progress
-from .runstore import (RunRecord, RunStore, SCHEMA_VERSION, flatten_record,
-                       load_record_file, make_record)
+from .runstore import (RunRecord, RunStore, SCHEMA_VERSION, filter_history,
+                       flatten_record, load_record_file, make_record,
+                       record_matches)
 from .selfprof import SelfProfiler
 from .tracer import CANONICAL_TRACKS, NULL_TRACER, NullTracer, SpanTracer
-from .trend import (MetricTrend, TrendReport, compute_trends,
-                    filter_history, historical_cell_seconds, record_matches,
-                    select_records, sparkline, trend_report)
 
 __all__ = [
     "Counter",
@@ -85,9 +66,11 @@ __all__ = [
     "RunRecord",
     "RunStore",
     "SCHEMA_VERSION",
+    "filter_history",
     "flatten_record",
     "load_record_file",
     "make_record",
+    "record_matches",
     "AttributionCollector",
     "NullAttribution",
     "NULL_ATTRIBUTION",
@@ -110,32 +93,6 @@ __all__ = [
     "default_policies",
     "diff_records",
     "policy_for",
-    "Event",
-    "EventLog",
-    "EVENT_SCHEMA_VERSION",
-    "TERMINAL_EVENTS",
-    "CampaignTelemetry",
-    "NullTelemetry",
-    "NULL_TELEMETRY",
-    "TelemetryMonitor",
-    "Watchdog",
-    "campaign_summaries",
-    "check_conservation",
-    "follow_events",
-    "read_events",
-    "ProgressRenderer",
-    "make_progress",
-    "MetricTrend",
-    "TrendReport",
-    "compute_trends",
-    "filter_history",
-    "historical_cell_seconds",
-    "record_matches",
-    "select_records",
-    "sparkline",
-    "trend_report",
-    "build_report",
-    "write_report",
     "Scorecard",
     "build_scorecard",
 ]

@@ -16,7 +16,8 @@ Storage layout (``root`` defaults to ``.eve-runs``)::
 
 ``runs.jsonl`` is the source of truth; the index is a derived cache so a
 corrupted or deleted index never loses history.  Records are compared by
-:mod:`repro.obs.diff` and rendered by ``repro history``.
+:mod:`repro.obs.diff` and listed by ``repro history``, whose filters
+(:func:`filter_history`, :func:`record_matches`) live here too.
 """
 
 from __future__ import annotations
@@ -447,3 +448,50 @@ def load_record_file(path: str) -> RunRecord:
     except json.JSONDecodeError as exc:
         raise RunStoreError(f"{path} is not valid JSON: {exc}") from exc
     return RunRecord.from_json_dict(doc)
+
+
+# -- record filtering (`repro history`) ----------------------------------------
+
+def record_matches(record: RunRecord, *, kind: Optional[str] = None,
+                   workload: Optional[str] = None,
+                   system: Optional[str] = None) -> bool:
+    """Does one record satisfy every given filter?
+
+    ``workload`` / ``system`` match against the record's ``results``
+    grid and its ``speedups`` table (a record qualifies if the name
+    appears in either), so filters work for run/compare/sweep records
+    alike.
+    """
+    if kind is not None and record.kind != kind:
+        return False
+    if system is not None:
+        systems = set(record.results)
+        for table in record.speedups.values():
+            systems.update(table)
+        if system not in systems:
+            return False
+    if workload is not None:
+        workloads = set(record.speedups)
+        for table in record.results.values():
+            workloads.update(table)
+        if workload not in workloads:
+            return False
+    return True
+
+
+def filter_history(store: RunStore, *, kind: Optional[str] = None,
+                   workload: Optional[str] = None,
+                   system: Optional[str] = None,
+                   limit: Optional[int] = None) -> List[Dict[str, object]]:
+    """Index-style summaries, newest first, honouring the full filter
+    set.  With only ``kind``/``limit`` this reads the cheap index; the
+    workload/system filters require the full records."""
+    if workload is None and system is None:
+        return store.history(limit=limit, kind=kind)
+    rows = []
+    for record in store.records():
+        if record_matches(record, kind=kind, workload=workload,
+                          system=system):
+            rows.append(RunStore._summary(record))
+    rows.reverse()
+    return rows[:limit] if limit else rows

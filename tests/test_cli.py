@@ -324,110 +324,16 @@ class TestSeedOption:
         assert default.config_fingerprint != seeded.config_fingerprint
 
 
-class TestTelemetryOptions:
+class TestSweepJson:
     SWEEP = ["sweep", "--tiny", "--systems", "IO", "O3+EVE-4",
              "--workloads", "vvadd", "--jobs", "2", "--no-cache", "--json"]
 
-    def test_sweep_json_identical_with_and_without_events(self, capsys,
-                                                          tmp_path):
-        log = str(tmp_path / "events.jsonl")
+    def test_sweep_json_reports_disk_cache_counters(self, capsys, tmp_path):
         store = ["--store", str(tmp_path / "runs")]
         assert main(self.SWEEP + store) == 0
-        bare = capsys.readouterr().out
-        assert main(self.SWEEP + store + ["--events", log]) == 0
-        observed = capsys.readouterr().out
-        assert observed == bare  # byte-identical results, telemetry or not
-        import json
-        payload = json.loads(bare)
-        assert payload["cache"] == {"hits": 0, "misses": 2, "corrupt": 0}
-
-    def test_sweep_events_log_passes_the_conservation_gate(self, capsys,
-                                                           tmp_path):
-        log = str(tmp_path / "events.jsonl")
-        assert main(self.SWEEP + ["--store", str(tmp_path / "runs"),
-                                  "--events", log]) == 0
-        err = capsys.readouterr().err
-        assert "events: " in err and "campaign" in err
-        assert main(["events", "--log", log, "--check"]) == 0
-        out = capsys.readouterr().out
-        assert "sweep" in out and "ok" in out
-
-    def test_fuzz_events_conserved(self, capsys, tmp_path):
-        log = str(tmp_path / "events.jsonl")
-        assert main(["fuzz", "--seeds", "2", "--n-widths", "8", "--ops", "6",
-                     "--events", log]) == 0
-        capsys.readouterr()
-        assert main(["events", "--log", log, "--check", "--json"]) == 0
         import json
         payload = json.loads(capsys.readouterr().out)
-        assert payload["conserved"] is True
-        assert payload["campaigns"][0]["kind"] == "fuzz"
-        assert payload["campaigns"][0]["units"] == 2
-
-    def test_faults_events_conserved(self, capsys, tmp_path):
-        log = str(tmp_path / "events.jsonl")
-        assert main(["faults", "--count", "2", "--n-widths", "8",
-                     "--jobs", "2", "--events", log]) == 0
-        capsys.readouterr()
-        assert main(["events", "--log", log, "--check"]) == 0
-
-    def test_quiet_and_progress_conflict(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "--progress", "--quiet"])
-
-
-class TestEventsCommand:
-    def test_missing_log_is_a_diagnostic(self, capsys, tmp_path):
-        assert main(["events", "--log", str(tmp_path / "nope.jsonl")]) == 2
-        assert "no event log" in capsys.readouterr().err
-
-    def test_check_fails_on_violation(self, capsys, tmp_path):
-        from repro.obs.events import Event, EventLog
-        log = str(tmp_path / "events.jsonl")
-        EventLog(log).append([Event(event="queued", unit="u", t=0.0,
-                                    campaign="c", seq=0)])
-        assert main(["events", "--log", log, "--check"]) == 1
-        captured = capsys.readouterr()
-        assert "conservation" in captured.err
-        assert main(["events", "--log", log]) == 0  # report-only mode
-
-    def test_tail_limits_the_listing(self, capsys, tmp_path):
-        from repro.obs.events import Event, EventLog
-        log = str(tmp_path / "events.jsonl")
-        EventLog(log).append(
-            [Event(event="queued", unit=f"u{i}", t=0.0, campaign="c", seq=i)
-             for i in range(5)]
-            + [Event(event="finished", unit=f"u{i}", t=1.0, campaign="c",
-                     seq=5 + i) for i in range(5)])
-        assert main(["events", "--log", log, "--tail", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "showing last 3 of 10" in out
-
-
-class TestReportCommand:
-    def test_report_is_written_and_self_contained(self, capsys, tmp_path):
-        store = str(tmp_path / "runs")
-        log = str(tmp_path / "events.jsonl")
-        assert main(["run", "IO", "vvadd", "--tiny", "--record",
-                     "--store", store]) == 0
-        assert main(["sweep", "--tiny", "--systems", "IO", "O3+EVE-4",
-                     "--workloads", "vvadd", "--jobs", "2", "--no-cache",
-                     "--store", store, "--events", log]) == 0
-        out_file = str(tmp_path / "report.html")
-        assert main(["report", "-o", out_file, "--store", store,
-                     "--log", log]) == 0
-        assert "self-contained" in capsys.readouterr().out
-        html = open(out_file).read()
-        assert html.startswith("<!DOCTYPE html>")
-        for forbidden in ("http://", "https://", "<script"):
-            assert forbidden not in html
-
-    def test_report_without_event_log(self, capsys, tmp_path):
-        out_file = str(tmp_path / "report.html")
-        assert main(["report", "-o", out_file,
-                     "--store", str(tmp_path / "runs"),
-                     "--log", str(tmp_path / "absent.jsonl")]) == 0
-        assert os.path.exists(out_file)
+        assert payload["cache"] == {"hits": 0, "misses": 2, "corrupt": 0}
 
 
 class TestHistoryFilters:
@@ -467,3 +373,39 @@ class TestHistoryFilters:
             build_parser().parse_args(["history", "--workload", "linpack"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(["history", "--system", "CRAY-1"])
+
+
+class TestCountArguments:
+    """Counts below 1 exit 2 at parse time instead of misbehaving."""
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_history_limit_must_be_positive(self, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["history", "--limit", value])
+        assert excinfo.value.code == 2
+        assert "--limit" in capsys.readouterr().err
+
+    def test_fuzz_seeds_must_be_positive(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fuzz", "--seeds", "-3"])
+        assert excinfo.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["attribute", "IO", "vvadd"],
+                                      ["bottleneck"]])
+    def test_top_must_be_positive(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + ["--top", "-2"])
+        assert excinfo.value.code == 2
+        assert "--top" in capsys.readouterr().err
+
+
+class TestRetiredTelemetry:
+    @pytest.mark.parametrize("argv", [["events"], ["report"],
+                                      ["sweep", "--events"],
+                                      ["sweep", "--progress"],
+                                      ["fuzz", "--quiet"]])
+    def test_parser_rejects_telemetry_verbs_and_flags(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2

@@ -66,20 +66,6 @@ def _fail_on_two(x):
     return x
 
 
-class _CountingMonitor:
-    def __init__(self):
-        self.completed = 0
-
-    def on_dispatch(self, index):
-        pass
-
-    def on_complete(self, index, observation):
-        self.completed += 1
-
-    def poll(self):
-        pass
-
-
 class TestFanOut:
     def test_empty_specs_short_circuit(self):
         assert fan_out(_double, [], jobs=8) == []
@@ -90,17 +76,12 @@ class TestFanOut:
         pooled = fan_out(_double, specs, jobs=3)
         assert serial == pooled == [x * 2 for x in specs]
 
-    @pytest.mark.parametrize("monitored", [False, True])
-    def test_pool_workers_are_reaped(self, monitored):
-        monitor = _CountingMonitor() if monitored else None
-        assert fan_out(_double, [1, 2, 3], jobs=2,
-                       monitor=monitor) == [2, 4, 6]
+    def test_pool_workers_are_reaped(self):
+        assert fan_out(_double, [1, 2, 3], jobs=2) == [2, 4, 6]
         assert multiprocessing.active_children() == []
         with pytest.raises(ValueError, match="cell 2 failed"):
-            fan_out(_fail_on_two, [1, 2, 3], jobs=2, monitor=monitor)
+            fan_out(_fail_on_two, [1, 2, 3], jobs=2)
         assert multiprocessing.active_children() == []
-        if monitor is not None:
-            assert monitor.completed == 6
 
     def test_profiler_phase_is_attributed(self):
         profiler = SelfProfiler()
@@ -315,6 +296,41 @@ class TestCellCache:
 
     def test_config_fingerprint_stable(self):
         assert sweep_config_fingerprint() == sweep_config_fingerprint()
+
+
+class TestPooledCacheCounters:
+    """``prefetch``'s disk-cache counters over a ``--jobs 2`` pool."""
+
+    PAIRS = [("IO", "vvadd"), ("O3+EVE-4", "vvadd")]
+
+    def test_warm_prefetch_counts_cache_hits(self, tmp_path):
+        root = str(tmp_path / "cache")
+        _runner(jobs=2, cache_root=root).prefetch(self.PAIRS)
+        stats = _runner(jobs=2, cache_root=root).prefetch(self.PAIRS)
+        assert stats["cache_hits"] == len(self.PAIRS)
+        assert stats["cache_corrupt"] == 0
+
+    def test_corrupt_cache_entry_quarantined_and_reported(self, tmp_path):
+        root = str(tmp_path / "cache")
+        _runner(jobs=2, cache_root=root).prefetch(self.PAIRS)
+        # Smash every cached cell result.
+        corrupted = []
+        for dirpath, _, names in os.walk(os.path.join(root, "results")):
+            for name in names:
+                path = os.path.join(dirpath, name)
+                with open(path, "wb") as handle:
+                    handle.write(b"garbage")
+                corrupted.append(path)
+        assert corrupted
+        stats = _runner(jobs=2, cache_root=root).prefetch(self.PAIRS)
+        assert stats["cache_corrupt"] == len(corrupted)
+        assert stats["simulated"] == len(self.PAIRS)
+        # Quarantined, not deleted: the bad bytes survive for forensics
+        # (the re-simulated cell re-populates the original path).
+        for path in corrupted:
+            assert os.path.exists(path + ".corrupt")
+            with open(path + ".corrupt", "rb") as handle:
+                assert handle.read() == b"garbage"
 
 
 class TestCompileSharing:

@@ -11,11 +11,13 @@ from repro.obs.runstore import (
     RunStore,
     SCHEMA_VERSION,
     config_fingerprint,
+    filter_history,
     flatten_record,
     git_info,
     host_info,
     load_record_file,
     make_record,
+    record_matches,
 )
 
 
@@ -255,3 +257,35 @@ class TestRunStore:
         bad.write_text("nope")
         with pytest.raises(RunStoreError, match="not valid JSON"):
             load_record_file(str(bad))
+
+
+def _trend_record(label, cycles, extra_sweep=None):
+    record = make_record("sweep", label=label)
+    record.add_result("IO", "vvadd", cycles=cycles, time_ns=cycles)
+    record.add_result("O3+EVE-4", "vvadd", cycles=cycles / 10,
+                      time_ns=cycles / 10)
+    record.speedup_baseline = "IO"
+    record.speedups = {"vvadd": {"O3+EVE-4": 10.0}}
+    if extra_sweep:
+        record.extra["sweep"] = extra_sweep
+    return record
+
+
+class TestRecordFilters:
+    def test_record_matches_filters(self):
+        record = _trend_record("r", 100.0)
+        assert record_matches(record, kind="sweep")
+        assert not record_matches(record, kind="fuzz")
+        assert record_matches(record, workload="vvadd")
+        assert not record_matches(record, workload="sw")
+        assert record_matches(record, system="O3+EVE-4")
+        assert not record_matches(record, system="O3+DV")
+
+    def test_filter_history(self, tmp_path):
+        store = RunStore(str(tmp_path / "runs"))
+        store.append(_trend_record("a", 100.0))
+        store.append(_trend_record("b", 110.0))
+        rows = filter_history(store, workload="vvadd")
+        assert [r["label"] for r in rows] == ["b", "a"]  # newest first
+        assert filter_history(store, workload="sw") == []
+        assert len(filter_history(store, workload="vvadd", limit=1)) == 1
